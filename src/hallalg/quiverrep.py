@@ -3,8 +3,9 @@
 Enumerates and classifies representations (including nilpotent
 representations of cyclic quivers and of the one-loop Jordan backend),
 counts submodules, automorphisms, and Hom spaces. All counts are exact
-integers; numpy is used only to batch mod-p linear algebra in the big
-enumerations.
+integers. numpy serves three brute-force kernels: point enumeration, orbit
+labelling, and the automorphism / isomorphism scan; each checks that its
+fixed-width intermediates stay inside their dtype for the given q and size.
 """
 
 from __future__ import annotations
@@ -509,6 +510,24 @@ def hom_dim(M: QuiverRep, N: QuiverRep) -> int:
     return len(hom_basis(M, N))
 
 
+def _require_budget(layer: str, needed: int, budget: int, dims, q: int, unit: str = "points") -> None:
+    if needed > budget:
+        raise BudgetError(
+            f"{layer} at dimension vector {tuple(dims)}, q={q} needs {needed} {unit}, "
+            f"budget is {budget}"
+        )
+
+
+def _require_int64(layer: str, worst: int, what: str, dims, q: int) -> None:
+    """Raise unless `worst`, the largest magnitude a kernel's `what` can
+    reach, fits int64: the numpy kernels are exact only inside that range."""
+    if worst > np.iinfo(np.int64).max:
+        raise BudgetError(
+            f"{layer} at dimension vector {tuple(dims)}, q={q}: {what} can reach "
+            f"{worst}, past the int64 range of the numpy kernel"
+        )
+
+
 def _perm_signs(n: int) -> List[Tuple[Tuple[int, ...], int]]:
     out = []
     for perm in itertools.permutations(range(n)):
@@ -522,41 +541,57 @@ def _perm_signs(n: int) -> List[Tuple[Tuple[int, ...], int]]:
     return out
 
 
-def _batch_dets_mod(arr: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a batch of small square matrices (n <= 6)."""
-    n = arr.shape[1]
-    if n == 0:
-        return np.ones(arr.shape[0], dtype=np.int64)
-    if n == 4:
-        # Laplace along the first two rows; entries < p <= 5 keep everything
-        # inside int32 comfortably
-        a = arr.astype(np.int32)
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        comp = {(0, 1): (2, 3), (0, 2): (1, 3), (0, 3): (1, 2),
-                (1, 2): (0, 3), (1, 3): (0, 2), (2, 3): (0, 1)}
-        sign = {(0, 1): 1, (0, 2): -1, (0, 3): 1,
-                (1, 2): 1, (1, 3): -1, (2, 3): 1}
-        top = {
-            ij: a[:, 0, ij[0]] * a[:, 1, ij[1]] - a[:, 0, ij[1]] * a[:, 1, ij[0]]
-            for ij in pairs
-        }
-        bot = {
-            ij: a[:, 2, ij[0]] * a[:, 3, ij[1]] - a[:, 2, ij[1]] * a[:, 3, ij[0]]
-            for ij in pairs
-        }
-        total32 = np.zeros(arr.shape[0], dtype=np.int64)
-        for ij in pairs:
-            total32 += sign[ij] * top[ij].astype(np.int64) * bot[comp[ij]]
-        return total32 % p
+def _det_worst(n: int, p: int) -> Tuple[bool, int]:
+    """(closed, worst) for _batch_dets_mod on n x n blocks with entries in
+    [0, e], e = 2(p-1): whether the closed formula for n <= 4 stays inside
+    int64, and the largest magnitude the chosen path reaches. The closed
+    formulas reduce once at the end (n=3 cofactor: 3e^3; n=4 Laplace along
+    two rows: 6e^4); the permutation path reduces every product ((p-1)e)."""
+    e = 2 * (p - 1)
+    closed = {1: e, 2: e * e, 3: 3 * e ** 3, 4: 6 * e ** 4}.get(n)
+    if closed is not None and closed <= np.iinfo(np.int64).max:
+        return True, closed
+    return False, (p - 1) * e
+
+
+_LAPLACE_PAIRS = ((0, 1, 1), (0, 2, -1), (0, 3, 1), (1, 2, 1), (1, 3, -1), (2, 3, 1))
+
+
+def _batch_dets_mod(a: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Determinants mod p of a batch of n x n blocks (1 <= n <= 6), given as an
+    (n*n, N) array of row-major entries in [0, 2(p-1)], in a dtype that holds
+    _det_worst(n, p)."""
+    closed, _ = _det_worst(n, p)
+    if closed and n == 1:
+        return a[0] % p
+    if closed and n == 2:
+        return (a[0] * a[3] - a[1] * a[2]) % p
+    if closed and n == 3:
+        return (
+            a[0] * (a[4] * a[8] - a[5] * a[7])
+            - a[1] * (a[3] * a[8] - a[5] * a[6])
+            + a[2] * (a[3] * a[7] - a[4] * a[6])
+        ) % p
+    if closed:
+        # Laplace along the first two rows: minor of columns (i, j) in rows
+        # 0-1 times the complementary minor in rows 2-3
+        total = None
+        for i, j, sign in _LAPLACE_PAIRS:
+            k, l = (c for c in range(4) if c not in (i, j))
+            top = a[i] * a[4 + j] - a[j] * a[4 + i]
+            bot = a[8 + k] * a[12 + l] - a[8 + l] * a[12 + k]
+            term = top * bot if sign > 0 else -(top * bot)
+            total = term if total is None else total + term
+        return total % p
     if n > 6:  # pragma: no cover
         raise BudgetError("batched determinants limited to blocks of size <= 6")
-    total = np.zeros(arr.shape[0], dtype=np.int64)
+    total = np.zeros(a.shape[1], dtype=a.dtype)
     for perm, sign in _perm_signs(n):
-        term = np.ones(arr.shape[0], dtype=np.int64)
-        for i, j in enumerate(perm):
-            term = (term * arr[:, i, j]) % p
+        term = a[perm[0]] % p
+        for i in range(1, n):
+            term = (term * a[i * n + perm[i]]) % p
         total = (total + sign * term) % p
-    return total % p
+    return total
 
 
 _CHUNK = 1 << 17
@@ -576,69 +611,85 @@ def _count_vertexwise_invertible(
     dims: Tuple[int, ...],
     p: int,
     budget: int,
+    layer: str,
     find_one: bool = False,
 ):
     """Scan all F_p-combinations of the basis; count those whose every vertex
-    block is invertible (or return early whether one exists)."""
+    block is invertible (or return early whether one exists).
+
+    The basis splits into a high part (its first nh elements) and a low part
+    (the last nl). For each vertex, every combination of the low part is
+    precomputed mod p; a block of candidates is a block of high combinations
+    broadcast-added to all low ones, so candidates run in base-p order of
+    their coefficient vectors, at most _CHUNK at a time."""
     nb = len(basis)
-    space = p ** nb
-    if space > budget:
-        raise BudgetError(
-            f"endomorphism scan needs {space} points, budget is {budget}"
-        )
-    # flat (nb, d*d) basis stacks; int16 is safe: sums stay below nb*(p-1)^2
-    flats = []
-    for v, d in enumerate(dims):
-        if d == 0:
-            flats.append(None)
+    _require_budget(layer, p ** nb, budget, dims, p)
+    nl = nb // 2
+    while nl and p ** nl > _CHUNK:
+        nl -= 1
+    nh = nb - nl
+    # digits (< p) times basis entries (< p), summed over at most nh terms
+    _require_int64(layer, max(nh, 1) * (p - 1) ** 2, "basis combination sums", dims, p)
+    n_low = p ** nl
+    low_digits = _coeff_digit_block(0, n_low, nl, p)
+    vertices = []  # (n, work dtype, high basis (nh, n*n), low combinations (n*n, n_low))
+    for v, n in enumerate(dims):
+        if n == 0:
             continue
-        flats.append(
-            np.array([[x for row in b[v] for x in row] for b in basis], dtype=np.int16)
-            if nb
-            else np.zeros((0, d * d), dtype=np.int16)
-        )
+        worst = _det_worst(n, p)[1]
+        _require_int64(layer, worst, f"{n}x{n} determinant terms", dims, p)
+        dtype = next(dt for dt in (np.int16, np.int32, np.int64) if worst <= np.iinfo(dt).max)
+        flat = np.array(
+            [[x for row in b[v] for x in row] for b in basis], dtype=np.int64
+        ).reshape(nb, n * n)
+        low = ((low_digits @ flat[nh:]) % p).T.astype(dtype)
+        vertices.append((n, dtype, flat[:nh], low))
+    step = max(1, _CHUNK // n_low)
     count = 0
-    for start in range(0, space, _CHUNK):
-        stop = min(start + _CHUNK, space)
-        digits = (
-            _coeff_digit_block(start, stop, nb, p).astype(np.int16)
-            if nb
-            else np.zeros((stop - start, 0), dtype=np.int16)
-        )
-        mask = np.ones(stop - start, dtype=bool)
-        for v, d in enumerate(dims):
-            if d == 0 or not mask.any():
-                continue
-            cand = (digits @ flats[v]) % p
-            cand = cand.reshape(-1, d, d)
-            if not mask.all():
-                cand = cand[mask]
-            dets = _batch_dets_mod(cand, p)
-            if mask.all():
-                mask = dets != 0
-            else:
-                mask[np.nonzero(mask)[0][dets == 0]] = False
-        if find_one and mask.any():
+    for start in range(0, p ** nh, step):
+        stop = min(start + step, p ** nh)
+        high_digits = _coeff_digit_block(start, stop, nh, p)
+        alive = None  # candidate indices in this block still invertible so far
+        for n, dtype, high_basis, low in vertices:
+            high = ((high_digits @ high_basis) % p).T.astype(dtype)
+            cand = (high[:, :, None] + low[:, None, :]).reshape(n * n, -1)
+            if alive is not None:
+                cand = cand[:, alive]
+            ok = _batch_dets_mod(cand, n, p) != 0
+            alive = np.nonzero(ok)[0] if alive is None else alive[ok]
+            if not len(alive):
+                break
+        found = (stop - start) * n_low if alive is None else len(alive)
+        if find_one and found:
             return True
-        count += int(mask.sum())
+        count += found
     return (count > 0) if find_one else count
 
 
-_AUT_CACHE: Dict[QuiverRep, int] = {}
+# rep -> (endomorphism combinations scanned, automorphism count)
+_AUT_CACHE: Dict[QuiverRep, Tuple[int, int]] = {}
+
+
+def _aut_scan(M: QuiverRep, budget: int) -> Tuple[int, int]:
+    """(points scanned, automorphism count) of M. The budget is checked
+    against the points before the cache is read, so a warm cache fails
+    exactly where a cold one does."""
+    if M.total_dim() == 0:
+        return 1, 1
+    hit = _AUT_CACHE.get(M)
+    if hit is not None:
+        _require_budget("aut_count", hit[0], budget, M.dims, M.q)
+        return hit
+    basis = hom_basis(M, M)
+    count = _count_vertexwise_invertible(basis, M.dims, M.q, budget, "aut_count")
+    hit = _AUT_CACHE[M] = (M.q ** len(basis), count)
+    return hit
 
 
 def aut_count(M: QuiverRep, budget: Optional[int] = None) -> int:
     """Number of invertible intertwiners M -> M, by exhaustive scan of the
     endomorphism space."""
-    if M in _AUT_CACHE:
-        return _AUT_CACHE[M]
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if M.total_dim() == 0:
-        return 1
-    basis = hom_basis(M, M)
-    out = _count_vertexwise_invertible(basis, M.dims, M.q, budget)
-    _AUT_CACHE[M] = out
-    return out
+    return _aut_scan(M, DEFAULT_BUDGET if budget is None else budget)[1]
 
 
 def is_isomorphic(M: QuiverRep, N: QuiverRep, budget: Optional[int] = None) -> bool:
@@ -658,7 +709,9 @@ def is_isomorphic(M: QuiverRep, N: QuiverRep, budget: Optional[int] = None) -> b
     if not basis:
         return False
     return bool(
-        _count_vertexwise_invertible(basis, M.dims, p, budget, find_one=True)
+        _count_vertexwise_invertible(
+            basis, M.dims, p, budget, "is_isomorphic", find_one=True
+        )
     )
 
 
@@ -841,16 +894,24 @@ def _primitive_root(p: int) -> int:
     raise ConsistencyError(f"no primitive root mod {p}")  # pragma: no cover
 
 
+def _arrow_shapes(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    return [(d[t], d[s]) for s, t in Q.effective_arrows()]
+
+
 def _enumerate_points(
     Q: Quiver, q: int, d: Tuple[int, ...], nilpotent: bool, budget: int
-) -> List[Tuple[Mat, ...]]:
-    """All matrix tuples (optionally nilpotent only), lexicographic order."""
+) -> np.ndarray:
+    """All matrix tuples at d (optionally nilpotent only) in lexicographic
+    order, as an int64 array with one row per tuple and one column per
+    matrix slot (effective arrows in order, each matrix row-major). A row's
+    base-q value is its position among all q^nslots tuples."""
+    layer = "enumerate_iso_classes"
     eff = Q.effective_arrows()
-    shapes = [(d[t], d[s]) for s, t in eff]
+    shapes = _arrow_shapes(Q, d)
     nslots = sum(r * c for r, c in shapes)
     space = q ** nslots
-    if space > budget:
-        raise BudgetError(f"matrix space has {space} points, budget is {budget}")
+    _require_budget(layer, space, budget, d, q)
+    _require_int64(layer, space - 1, "point codes", d, q)
     D = sum(d)
     offsets = []
     pos = 0
@@ -859,13 +920,15 @@ def _enumerate_points(
         pos += r * c
 
     use_fast_nilpotent = nilpotent and (Q.jordan or Q.is_single_cycle()) and D > 0
+    if use_fast_nilpotent:
+        # entries of the squared block matrices before reduction
+        _require_int64(layer, D * (q - 1) ** 2, "nilpotency matrix powers", d, q)
     vert_off = [sum(d[:v]) for v in range(Q.n)]
 
-    points: List[Tuple[Mat, ...]] = []
+    blocks = []
     for start in range(0, space, _CHUNK):
         stop = min(start + _CHUNK, space)
         digits = _coeff_digit_block(start, stop, nslots, q)
-        rows_sel = None
         if use_fast_nilpotent:
             # single path structure per (i,j,k): the block-matrix power test
             # is exact for the jordan loop and the single cycle
@@ -878,25 +941,27 @@ def _enumerate_points(
             steps = max(1, int(np.ceil(np.log2(max(D, 2)))))
             for _ in range(steps):
                 power = np.matmul(power, power) % q
-            rows_sel = ~power.any(axis=(1, 2))
-        idxs = range(stop - start) if rows_sel is None else np.nonzero(rows_sel)[0]
-        for row_i in idxs:
-            row = digits[int(row_i)]
-            mats = []
-            for (rr, cc), off in zip(shapes, offsets):
-                flat = row[off : off + rr * cc]
-                mats.append(
-                    tuple(
-                        tuple(int(flat[i * cc + j]) for j in range(cc))
-                        for i in range(rr)
-                    )
-                )
-            points.append(tuple(mats))
+            digits = digits[~power.any(axis=(1, 2))]
+        blocks.append(digits)
+    points = np.concatenate(blocks)
     if nilpotent and not use_fast_nilpotent and D > 0 and quiver_has_cycle(Q):
-        points = [
-            pt for pt in points if _unvalidated_rep(Q, q, d, pt)._is_nilpotent()
+        keep = [
+            _unvalidated_rep(Q, q, d, _point_mats(row, shapes))._is_nilpotent()
+            for row in points
         ]
+        points = points[np.array(keep, dtype=bool)]
     return points
+
+
+def _point_mats(row: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> Tuple[Mat, ...]:
+    """One digit row of _enumerate_points as a tuple of nested-tuple matrices."""
+    vals = row.tolist()
+    mats = []
+    off = 0
+    for r, c in shapes:
+        mats.append(tuple(tuple(vals[off + i * c : off + (i + 1) * c]) for i in range(r)))
+        off += r * c
+    return tuple(mats)
 
 
 def _unvalidated_rep(Q: Quiver, q: int, d: Tuple[int, ...], mats: Tuple[Mat, ...]) -> QuiverRep:
@@ -910,28 +975,74 @@ def _unvalidated_rep(Q: Quiver, q: int, d: Tuple[int, ...], mats: Tuple[Mat, ...
     return rep
 
 
-def _act(
-    point: Tuple[Mat, ...],
-    vertex: int,
-    g: Mat,
-    g_inv: Mat,
-    eff: Tuple[Tuple[int, int], ...],
-    p: int,
-) -> Tuple[Mat, ...]:
-    out = []
-    for (s, t), m in zip(eff, point):
-        nm = m
-        if t == vertex:
-            nm = _matmul(g, nm, p)
-        if s == vertex:
-            nm = _matmul(nm, g_inv, p)
-        out.append(nm)
-    return tuple(out)
+def _generator_matrix(Q: Quiver, d: Tuple[int, ...], vertex: int, g: Mat, g_inv: Mat, q: int) -> np.ndarray:
+    """The action of g at `vertex` on flattened points: x_h -> g x_h on
+    arrows into the vertex and x_h g^-1 on arrows out of it, i.e. the block
+    kron(left, right^T) on each touched arrow's row-major slots."""
+    shapes = _arrow_shapes(Q, d)
+    nslots = sum(r * c for r, c in shapes)
+    out = np.eye(nslots, dtype=np.int64)
+    off = 0
+    for (s, t), (r, c) in zip(Q.effective_arrows(), shapes):
+        size = r * c
+        if size and vertex in (s, t):
+            left = np.array(g if t == vertex else _identity(r), dtype=np.int64)
+            right = np.array(g_inv if s == vertex else _identity(c), dtype=np.int64)
+            out[off : off + size, off : off + size] = np.kron(left, right.T) % q
+        off += size
+    return out
+
+
+def _orbit_seeds(
+    Q: Quiver, q: int, d: Tuple[int, ...], nilpotent: bool, budget: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of GL_d on the points of _enumerate_points: (points, seed row
+    indices, orbit sizes), seeds increasing. A seed is the lex-least row of
+    its orbit, found by min-label propagation over the generators with
+    pointer jumping."""
+    layer = "enumerate_iso_classes"
+    nslots = sum(r * c for r, c in _arrow_shapes(Q, d))
+    _require_int64(layer, nslots * (q - 1) ** 2, "generator images", d, q)
+    points = _enumerate_points(Q, q, d, nilpotent, budget)
+    n_points = len(points)
+    weights = np.array([q ** k for k in range(nslots - 1, -1, -1)], dtype=np.int64)
+    codes = points @ weights
+    perms = []  # perm[i] = row index of the image of row i under one generator
+    for v in range(Q.n):
+        for g in _gl_generators(d[v], q):
+            act_t = _generator_matrix(Q, d, v, g, _invert_mat(g, q), q).T
+            image = np.concatenate(
+                [
+                    ((points[a : a + _CHUNK] @ act_t) % q) @ weights
+                    for a in range(0, n_points, _CHUNK)
+                ]
+            )
+            pos = np.minimum(np.searchsorted(codes, image), n_points - 1)
+            if not np.array_equal(codes[pos], image):
+                raise ConsistencyError(
+                    f"{layer} at dimension vector {d}, q={q}: a generator maps an "
+                    "enumerated point outside the point set"
+                )
+            perms.append(pos)
+    labels = np.arange(n_points)
+    while True:
+        before = labels.copy()
+        for perm in perms:
+            np.minimum(labels, labels[perm], out=labels)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, before):
+            seeds, sizes = np.unique(labels, return_counts=True)
+            return points, seeds, sizes
 
 
 IsoClass = Tuple[object, QuiverRep, int]  # (label, representative, orbit size)
 
-_ISO_CACHE: Dict[Tuple, List[IsoClass]] = {}
+# key -> (points or endomorphism combinations the result needed, classes)
+_ISO_CACHE: Dict[Tuple, Tuple[int, List[IsoClass]]] = {}
 
 
 def enumerate_iso_classes(
@@ -963,13 +1074,15 @@ def enumerate_iso_classes(
     budget_val = DEFAULT_BUDGET if budget is None else budget
     key = (Q, q, d, nilpotent, force_generic)
     if key in _ISO_CACHE:
-        return _ISO_CACHE[key]
+        needed, out = _ISO_CACHE[key]
+        _require_budget("enumerate_iso_classes", needed, budget_val, d, q)
+        return out
 
-    out: List[IsoClass]
+    needed = 0
+    out: List[IsoClass] = []
     if Q.jordan and not force_generic:
         from .partitions import all_partitions, aut_poly
 
-        out = []
         for la in sorted(all_partitions(d[0]), key=dominance_key):
             rep = jordan_rep(la, q)
             a = int(aut_poly(la).evaluate(q))
@@ -978,42 +1091,23 @@ def enumerate_iso_classes(
                 raise ConsistencyError("orbit-stabilizer division failed")
             out.append((la, rep, total // a))
     elif Q.is_single_cycle() and nilpotent and not force_generic:
-        out = []
         for label in cyclic_labels_for_dim(Q, d):
             rep = rep_from_cyclic_label(Q, q, label)
-            a = aut_count(rep, budget=budget_val)
+            scanned, a = _aut_scan(rep, budget_val)
+            needed = max(needed, scanned)
             total = gl_order_vec(d, q)
             if total % a:  # pragma: no cover
                 raise ConsistencyError("orbit-stabilizer division failed")
             out.append((label, rep, total // a))
     else:
-        points = _enumerate_points(Q, q, d, nilpotent, budget_val)
-        eff = Q.effective_arrows()
-        gens = []
-        for v in range(Q.n):
-            for g in _gl_generators(d[v], q):
-                g_inv = _invert_mat(g, q)
-                gens.append((v, g, g_inv))
-        visited: Dict[Tuple[Mat, ...], int] = {}
-        out = []
-        for seed in points:
-            if seed in visited:
-                continue
-            orbit_id = len(out)
-            frontier = [seed]
-            visited[seed] = orbit_id
-            size = 1
-            while frontier:
-                cur = frontier.pop()
-                for v, g, g_inv in gens:
-                    nxt = _act(cur, v, g, g_inv, eff, q)
-                    if nxt not in visited:
-                        visited[nxt] = orbit_id
-                        frontier.append(nxt)
-                        size += 1
-            rep = QuiverRep(Q, q, d, seed)
-            out.append(((d, seed), rep, size))
-    _ISO_CACHE[key] = out
+        needed = _space_size(Q, q, d)
+        _require_budget("enumerate_iso_classes", needed, budget_val, d, q)
+        points, seeds, sizes = _orbit_seeds(Q, q, d, nilpotent, budget_val)
+        shapes = _arrow_shapes(Q, d)
+        for i, size in zip(seeds.tolist(), sizes.tolist()):
+            seed = _point_mats(points[i], shapes)
+            out.append(((d, seed), QuiverRep(Q, q, d, seed), size))
+    _ISO_CACHE[key] = (needed, out)
     return out
 
 
@@ -1126,7 +1220,8 @@ def _sub_and_quotient(
     return sub, quo
 
 
-_SUBMODULE_TABLE_CACHE: Dict[QuiverRep, Dict[Tuple[object, object], int]] = {}
+# rep -> (subspace tuples scanned, table)
+_SUBMODULE_TABLE_CACHE: Dict[QuiverRep, Tuple[int, Dict[Tuple[object, object], int]]] = {}
 
 
 def submodule_type_table(
@@ -1134,22 +1229,19 @@ def submodule_type_table(
 ) -> Dict[Tuple[object, object], int]:
     """Counts of stable subspaces of R bucketed by (quotient label, sub
     label); one enumeration serves every (M, N) query against this R."""
-    if R in _SUBMODULE_TABLE_CACHE:
-        return _SUBMODULE_TABLE_CACHE[R]
     budget_val = DEFAULT_BUDGET if budget is None else budget
     p = R.q
+    hit = _SUBMODULE_TABLE_CACHE.get(R)
+    if hit is not None:
+        _require_budget("submodule_type_table", hit[0], budget_val, R.dims, p, "subspace tuples")
+        return hit[1]
     total_tuples = 1
-    per_vertex: List[List[Tuple[Mat, Tuple[int, ...]]]] = []
     for d in R.dims:
-        opts = []
-        for k in range(d + 1):
-            opts.extend(_subspaces(d, k, p))
-        per_vertex.append(opts)
-        total_tuples *= len(opts)
-    if total_tuples > budget_val:
-        raise BudgetError(
-            f"submodule enumeration needs {total_tuples} subspace tuples, budget is {budget_val}"
-        )
+        total_tuples *= sum(subspace_count(d, k, p) for k in range(d + 1))
+    _require_budget("submodule_type_table", total_tuples, budget_val, R.dims, p, "subspace tuples")
+    per_vertex = [
+        [sub for k in range(d + 1) for sub in _subspaces(d, k, p)] for d in R.dims
+    ]
     table: Dict[Tuple[object, object], int] = {}
     for selection in itertools.product(*per_vertex):
         sq = _sub_and_quotient(R, selection)
@@ -1158,7 +1250,7 @@ def submodule_type_table(
         sub, quo = sq
         key = (classify_rep(quo, budget=budget_val), classify_rep(sub, budget=budget_val))
         table[key] = table.get(key, 0) + 1
-    _SUBMODULE_TABLE_CACHE[R] = table
+    _SUBMODULE_TABLE_CACHE[R] = (total_tuples, table)
     return table
 
 

@@ -1,8 +1,11 @@
 """Finite-field quiver representation kernel: enumeration, classification,
 Hom/Aut counting, submodule tables."""
 
+import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hallalg.exactnum import BudgetError, gauss_binomial
@@ -10,9 +13,15 @@ from hallalg.partitions import all_partitions, aut_poly
 from hallalg.quiverrep import (
     Quiver,
     QuiverRep,
+    _batch_dets_mod,
+    _det_worst,
     _enumerate_points,
+    _gl_generators,
+    _invert_mat,
+    _matmul,
     _space_size,
     _subspaces,
+    _unvalidated_rep,
     aut_count,
     classify_rep,
     count_submodules,
@@ -366,12 +375,6 @@ def test_hereditary_euler_identity():
 
 
 def test_budget_errors():
-    # cached results bypass enumeration, so clear to force the budgeted path
-    from hallalg import quiverrep as _qr
-
-    _qr._ISO_CACHE.clear()
-    _qr._AUT_CACHE.clear()
-    _qr._SUBMODULE_TABLE_CACHE.clear()
     with pytest.raises(BudgetError):
         enumerate_iso_classes(Quiver.kronecker(), 2, (3, 3), budget=100)
     with pytest.raises(BudgetError):
@@ -388,3 +391,147 @@ def test_chain_rep_shapes():
     r2 = cyclic_chain_rep(C3, 2, 2, 2)
     assert r2.dims == (1, 0, 1)
     assert cyclic_type(r2) == ((), (), (2,))
+
+
+def test_budget_errors_ignore_warm_caches():
+    # a result computed under a large budget must not satisfy a call whose
+    # budget is too small: the failure may not depend on what ran before
+    J = Quiver.jordan_quiver()
+    rep = jordan_rep((1, 1, 1), 3)
+    assert aut_count(rep, budget=3 ** 16) == int(aut_poly((1, 1, 1)).evaluate(3))
+    with pytest.raises(BudgetError):
+        aut_count(rep, budget=100)
+    enumerate_iso_classes(J, 2, 3, force_generic=True, budget=3 ** 16)
+    with pytest.raises(BudgetError):
+        enumerate_iso_classes(J, 2, 3, force_generic=True, budget=100)
+    submodule_type_table(jordan_rep((2, 2, 1), 2), budget=3 ** 16)
+    with pytest.raises(BudgetError):
+        submodule_type_table(jordan_rep((2, 2, 1), 2), budget=100)
+
+
+def _a2_rank1(a, c, q):
+    return QuiverRep(Quiver.a2(), q, (1, 2), (((a,), (c,)),))
+
+
+@pytest.mark.parametrize("q", [181, 251])
+def test_aut_count_large_q_exact(q):
+    # every rank-1 map F_q -> F_q^2 has Aut of order (q-1)^2 q; past
+    # q ~ 107 sums of basis products leave int16 (the map (90,178) at
+    # q=181 once counted 5864441)
+    for a, c in ((90, 178), (q - 1, q - 2)):
+        assert aut_count(_a2_rank1(a, c, q), budget=3 ** 16) == (q - 1) ** 2 * q
+
+
+@pytest.mark.parametrize("q", [181, 251])
+def test_is_isomorphic_large_q(q):
+    # equal arrow ranks, so each pair reaches the endomorphism scan
+    assert is_isomorphic(_a2_rank1(90, 178, q), _a2_rank1(q - 1, q - 2, q), budget=3 ** 16)
+    assert is_isomorphic(_a2_rank1(0, 1, q), _a2_rank1(q - 3, 0, q), budget=3 ** 16)
+    K = Quiver.kronecker()
+    spread = QuiverRep(K, q, (1, 2), (((1,), (0,)), ((0,), (1,))))
+    parallel = QuiverRep(K, q, (1, 2), (((90,), (178,)), ((q - 90,), (q - 178,))))
+    assert not is_isomorphic(spread, parallel, budget=3 ** 16)
+    assert not is_isomorphic(parallel, spread, budget=3 ** 16)
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = -1 if sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n)) % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("p", [3, 20011, 1000003])
+def test_batch_dets_match_leibniz(p):
+    # p=3 runs the closed formulas in int16; at 20011 the 4x4 Laplace sum
+    # and at 1000003 also the 3x3 cofactor sum would leave int64, so those
+    # blocks take the reduced permutation path
+    rng = random.Random(p)
+    for n in range(1, 7):
+        mats = [
+            [[rng.randint(0, 2 * (p - 1)) for _ in range(n)] for _ in range(n)]
+            for _ in range(20)
+        ]
+        worst = _det_worst(n, p)[1]
+        dtype = next(dt for dt in (np.int16, np.int32, np.int64) if worst <= np.iinfo(dt).max)
+        cols = np.array([[x for row in m for x in row] for m in mats], dtype=dtype).T
+        got = _batch_dets_mod(cols, n, p).tolist()
+        assert got == [_leibniz_det(m) % p for m in mats], n
+
+
+def test_kernel_int64_bounds_raise():
+    # past these primes a kernel's intermediate sums would leave int64; the
+    # error names the layer, the dimension vector and q
+    p = 4294967311  # the least prime above 2^32: (p-1)^2 > 2^63
+    with pytest.raises(BudgetError, match=r"aut_count at dimension vector \(1, 0\), q=4294967311"):
+        aut_count(simple_rep(Quiver.a2(), p, 0), budget=p)
+    with pytest.raises(BudgetError, match=r"enumerate_iso_classes at dimension vector \(1, 1\), q=4294967311"):
+        enumerate_iso_classes(Quiver.a2(), p, (1, 1), budget=p)
+
+
+def _act(point, vertex, g, g_inv, eff, p):
+    out = []
+    for (s, t), m in zip(eff, point):
+        if t == vertex:
+            m = _matmul(g, m, p)
+        if s == vertex:
+            m = _matmul(m, g_inv, p)
+        out.append(m)
+    return tuple(out)
+
+
+def _bfs_iso_classes(Q, q, d, nilpotent):
+    """Reference orbit enumeration over Python tuples: points in
+    lexicographic order, each unvisited point seeds an orbit grown by
+    breadth-first search over the GL generators. Returns (label, size)."""
+    eff = Q.effective_arrows()
+    shapes = [(d[t], d[s]) for s, t in eff]
+    points = []
+    for flat in itertools.product(range(q), repeat=sum(r * c for r, c in shapes)):
+        mats, off = [], 0
+        for r, c in shapes:
+            mats.append(tuple(tuple(flat[off + i * c : off + (i + 1) * c]) for i in range(r)))
+            off += r * c
+        point = tuple(mats)
+        if nilpotent and not _unvalidated_rep(Q, q, d, point)._is_nilpotent():
+            continue
+        points.append(point)
+    gens = [(v, g, _invert_mat(g, q)) for v in range(Q.n) for g in _gl_generators(d[v], q)]
+    visited = set()
+    out = []
+    for seed in points:
+        if seed in visited:
+            continue
+        visited.add(seed)
+        frontier = [seed]
+        size = 1
+        while frontier:
+            cur = frontier.pop()
+            for v, g, g_inv in gens:
+                nxt = _act(cur, v, g, g_inv, eff, q)
+                if nxt not in visited:
+                    visited.add(nxt)
+                    frontier.append(nxt)
+                    size += 1
+        out.append(((d, seed), size))
+    return out
+
+
+@pytest.mark.parametrize(
+    "Q, q, d",
+    [
+        (Quiver.kronecker(), 2, (2, 2)),
+        (Quiver.kronecker(), 3, (2, 2)),
+        (Quiver.kronecker(), 2, (2, 3)),
+        (Quiver.a2(), 3, (2, 2)),
+        (Quiver.jordan_quiver(), 3, (3,)),
+    ],
+)
+def test_orbit_labelling_matches_bfs(Q, q, d):
+    got = enumerate_iso_classes(Q, q, d, force_generic=True)
+    assert [(label, size) for label, _, size in got] == _bfs_iso_classes(Q, q, d, Q.nilpotent)
+    assert all(rep.mats == label[1] for label, rep, _ in got)
