@@ -345,7 +345,10 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ConsistencyError, OSError) as exc:
+    except ConsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 4
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(text, args.out)

@@ -145,6 +145,7 @@ class QuiverAtQ:
         self.offset_len = quiver.n
         self.name = f"quiver(q={q})"
         self._class_cache: Dict[Tuple[int, ...], List] = {}
+        self._rep_cache: Dict = {}
         self._mult_rows: Dict[Tuple, Dict] = {}
         self._delta_cache: Dict = {}
         self._antipode_cache: Dict = {}
@@ -182,7 +183,12 @@ class QuiverAtQ:
         return tuple(dim)
 
     def rep(self, label):
-        return rep_from_label(self.quiver, self.q, label)
+        """The class representative, built and validated once per label
+        (QuiverRep is frozen, so every caller can share it)."""
+        rep = self._rep_cache.get(label)
+        if rep is None:
+            rep = self._rep_cache[label] = rep_from_label(self.quiver, self.q, label)
+        return rep
 
     def hall(self, R, M, N):
         cnt = quiverrep.count_submodules(self.rep(R), M, N, budget=self.budget)
@@ -629,12 +635,17 @@ def pairing(b, x: HallElement, y: HallElement):
 
 
 def pairing_tensor(b, t1: TensorElement, t2: TensorElement):
-    """Pairing of tensors, componentwise: (x (x) y, z (x) w) = (x,z)(y,w)."""
+    """Pairing of tensors, componentwise: (x (x) y, z (x) w) = (x,z)(y,w).
+    Only terms with equal labels on both legs pair to nonzero, so each term
+    of t1 visits just the t2 terms with its (left label, right label)."""
     _check_same_backend(b, t1.backend)
     _check_same_backend(b, t2.backend)
+    by_labels: Dict[Tuple, List] = {}
+    for (lk2, rk2), c2 in t2.terms.items():
+        by_labels.setdefault((lk2[0], rk2[0]), []).append((lk2, rk2, c2))
     total = b.pairing_zero()
     for (lk1, rk1), c1 in t1.terms.items():
-        for (lk2, rk2), c2 in t2.terms.items():
+        for lk2, rk2, c2 in by_labels.get((lk1[0], rk1[0]), ()):
             p1 = _pair_terms(b, lk1, lk2)
             p2 = _pair_terms(b, rk1, rk2)
             total = total + b.to_pairing(c1 * c2) * p1 * p2

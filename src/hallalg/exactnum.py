@@ -6,6 +6,7 @@ Everything here is exact. No floats anywhere.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -18,6 +19,7 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed the configured resource budget."""
 
 
+@functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -575,6 +577,10 @@ class QrtScalar:
 
     sqrt(q) is irrational for prime q, so representation is unique and
     equality is coefficientwise.
+
+    The constructor validates q and coerces both parts to Fraction; the
+    arithmetic builds its results with _qrt, which skips both because its
+    operands were already checked.
     """
 
     __slots__ = ("q", "a", "b")
@@ -600,7 +606,7 @@ class QrtScalar:
         return cls(q, Fraction(x), 0)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.a and not self.b
 
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0
@@ -611,19 +617,19 @@ class QrtScalar:
                 raise ValueError("mixing scalars over different q")
             return other
         if isinstance(other, (int, Fraction)):
-            return QrtScalar(self.q, other, 0)
+            return _qrt(self.q, Fraction(other), _FRACTION_ZERO)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QrtScalar(self.q, self.a + o.a, self.b + o.b)
+        return _qrt(self.q, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QrtScalar(self.q, -self.a, -self.b)
+        return _qrt(self.q, -self.a, -self.b)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -638,11 +644,13 @@ class QrtScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QrtScalar(
-            self.q,
-            self.a * o.a + self.b * o.b * self.q,
-            self.a * o.b + self.b * o.a,
-        )
+        a, b, c, d = self.a, self.b, o.a, o.b
+        # most factors are rational (structure constants, aut orders)
+        if not d:
+            return _qrt(self.q, a * c, b * c if b else b)
+        if not b:
+            return _qrt(self.q, a * c, a * d)
+        return _qrt(self.q, a * c + b * d * self.q, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -651,7 +659,7 @@ class QrtScalar:
         if n == 0:
             # a^2 = b^2 q with q prime forces a = b = 0
             raise ZeroDivisionError("inverse of zero")
-        return QrtScalar(self.q, self.a / n, -self.b / n)
+        return _qrt(self.q, self.a / n, -self.b / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -668,7 +676,7 @@ class QrtScalar:
     def __pow__(self, n: int) -> "QrtScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        out = QrtScalar(self.q, 1, 0)
+        out = _qrt(self.q, Fraction(1), _FRACTION_ZERO)
         base = self
         while n:
             if n & 1:
@@ -746,6 +754,18 @@ class QrtScalar:
         def frac(x: Fraction) -> str:
             return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
         return {"q": str(self.q), "rational_part": frac(self.a), "root_part": frac(self.b)}
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _qrt(q: int, a: Fraction, b: Fraction) -> QrtScalar:
+    """QrtScalar from a prime q and Fraction parts, without re-validating."""
+    x = object.__new__(QrtScalar)
+    x.q = q
+    x.a = a
+    x.b = b
+    return x
 
 
 def laurent_at_nu(p: LaurentPoly, q: int) -> QrtScalar:

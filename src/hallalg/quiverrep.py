@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +40,11 @@ class Quiver:
     arrows: Tuple[Tuple[str, str], ...] = ()
     nilpotent: bool = False
     jordan: bool = False
+    # derived once in __post_init__; not part of eq, hash or repr
+    _effective_arrows: Tuple[Tuple[int, int], ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    _single_cycle: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vertices:
@@ -56,6 +61,13 @@ class Quiver:
                 raise ValueError("jordan backend is a single vertex with no arrows")
             if not self.nilpotent:
                 object.__setattr__(self, "nilpotent", True)
+        eff = tuple(
+            (self.vertices.index(s), self.vertices.index(t)) for s, t in self.arrows
+        )
+        if self.jordan:
+            eff = eff + ((0, 0),)
+        object.__setattr__(self, "_effective_arrows", eff)
+        object.__setattr__(self, "_single_cycle", self._find_single_cycle())
 
     @property
     def n(self) -> int:
@@ -69,16 +81,14 @@ class Quiver:
 
     def effective_arrows(self) -> Tuple[Tuple[int, int], ...]:
         """Arrow list as vertex-index pairs; the jordan flag adds the loop."""
-        out = tuple(
-            (self.vertices.index(s), self.vertices.index(t)) for s, t in self.arrows
-        )
-        if self.jordan:
-            out = out + ((0, 0),)
-        return out
+        return self._effective_arrows
 
     def is_single_cycle(self) -> bool:
         """True for the cyclic quiver: arrows form one directed cycle through
         every vertex, one arrow out of and into each vertex."""
+        return self._single_cycle
+
+    def _find_single_cycle(self) -> bool:
         if self.jordan or self.n < 2 or len(self.arrows) != self.n:
             return False
         outgoing = {}
@@ -695,24 +705,28 @@ def aut_count(M: QuiverRep, budget: Optional[int] = None) -> int:
 def is_isomorphic(M: QuiverRep, N: QuiverRep, budget: Optional[int] = None) -> bool:
     if M.quiver != N.quiver or M.q != N.q:
         raise ValueError("comparing representations of different quivers or fields")
+    return _iso_scan(M, N, DEFAULT_BUDGET if budget is None else budget)[1]
+
+
+def _iso_scan(M: QuiverRep, N: QuiverRep, budget: int) -> Tuple[int, bool]:
+    """(points the scan needed, whether M and N are isomorphic); 0 points
+    when a cheap invariant decides."""
     if M.dims != N.dims:
-        return False
+        return 0, False
     if M.mats == N.mats:
-        return True
+        return 0, True
     p = M.q
     for xm, xn in zip(M.mats, N.mats):
         cols = len(xm[0]) if xm else 0
         if _rank(xm, cols, p) != _rank(xn, cols, p):
-            return False
-    budget = DEFAULT_BUDGET if budget is None else budget
+            return 0, False
     basis = hom_basis(M, N)
     if not basis:
-        return False
-    return bool(
-        _count_vertexwise_invertible(
-            basis, M.dims, p, budget, "is_isomorphic", find_one=True
-        )
+        return 0, False
+    found = _count_vertexwise_invertible(
+        basis, M.dims, p, budget, "is_isomorphic", find_one=True
     )
+    return p ** len(basis), bool(found)
 
 
 def gl_order(n: int, q: int) -> int:
@@ -1120,30 +1134,41 @@ def _invert_mat(m: Mat, p: int) -> Mat:
     return tuple(tuple(row[n:]) for row in red)
 
 
-_CLASSIFY_CACHE: Dict[QuiverRep, object] = {}
+# rep -> (largest point count any of its enumerations or scans needed, label)
+_CLASSIFY_CACHE: Dict[QuiverRep, Tuple[int, object]] = {}
 
 
 def classify_rep(M: QuiverRep, budget: Optional[int] = None):
     """Canonical IsoLabel of a representation: partition (Jordan), tuple of
-    partitions (cyclic nilpotent), else the lex-least orbit representative."""
-    if M in _CLASSIFY_CACHE:
-        return _CLASSIFY_CACHE[M]
+    partitions (cyclic nilpotent), else the lex-least orbit representative.
+    A cache hit checks the budget against the largest count the cold call
+    checked, so a warm cache fails exactly where a cold one does."""
+    budget_val = DEFAULT_BUDGET if budget is None else budget
+    hit = _CLASSIFY_CACHE.get(M)
+    if hit is not None:
+        _require_budget("classify_rep", hit[0], budget_val, M.dims, M.q)
+        return hit[1]
+    needed = 0
     if M.quiver.jordan:
         label: object = jordan_type(M)
     elif M.quiver.is_single_cycle() and M.quiver.nilpotent:
         label = cyclic_type(M)
     else:
         classes = enumerate_iso_classes(
-            M.quiver, M.q, M.dims, nilpotent=M.quiver.nilpotent, budget=budget
+            M.quiver, M.q, M.dims, nilpotent=M.quiver.nilpotent, budget=budget_val
         )
+        # the orbit enumeration checked the size of the whole space
+        needed = _space_size(M.quiver, M.q, M.dims)
         label = None
         for lab, rep, _ in classes:
-            if is_isomorphic(M, rep, budget=budget):
+            scanned, same = _iso_scan(M, rep, budget_val)
+            needed = max(needed, scanned)
+            if same:
                 label = lab
                 break
         if label is None:  # pragma: no cover
             raise ConsistencyError("representation matches no enumerated class")
-    _CLASSIFY_CACHE[M] = label
+    _CLASSIFY_CACHE[M] = (needed, label)
     return label
 
 

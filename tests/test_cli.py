@@ -156,6 +156,22 @@ def test_exit_codes(a2_path):
     assert code == 3
 
 
+def test_consistency_error_exit_code(monkeypatch):
+    # a broken internal invariant is neither a usage error (2) nor a budget
+    # overrun (3)
+    import hallalg.cli
+    from hallalg.exactnum import ConsistencyError
+
+    def broken(args):
+        raise ConsistencyError("orbit-stabilizer division failed")
+
+    monkeypatch.setattr(hallalg.cli, "cmd_hallpoly", broken)
+    code, out, err = run(["hallpoly", "(1,1)", "(1)", "(1)"])
+    assert code == 4
+    assert out == ""
+    assert "orbit-stabilizer division failed" in err
+
+
 def test_render_tensor_scalar_times_unit_factor():
     # c * (1 (x) y) must show the scalar in the left slot, not glue its
     # digits onto the unit

@@ -1,6 +1,8 @@
 """Hopf engine over both backends: products, coproducts, pairing, antipodes,
 Serre and Green residuals, Drinfeld cross-relation."""
 
+import random
+
 import pytest
 
 from hallalg.classical import (
@@ -39,7 +41,7 @@ from hallalg.exactnum import (
     laurent_at_nu,
 )
 from hallalg.partitions import all_partitions
-from hallalg.quiverrep import Quiver
+from hallalg.quiverrep import Quiver, rep_from_label
 
 
 def a1_quiver():
@@ -333,6 +335,99 @@ def test_hopf_pairing_property_quiver():
                 )
                 rhs = pairing_tensor(b, xy, comultiply(b, z))
                 assert lhs == rhs
+
+
+def _pairing_tensor_brute(b, t1, t2):
+    """Oracle for pairing_tensor: every pair of terms, mismatches included,
+    each leg paired by ([M]k_a, [N]k_b) = delta_MN v^(a,b)_sym / a_M."""
+
+    def leg(key1, key2):
+        (M, alpha), (N, beta) = key1, key2
+        if M != N:
+            return b.pairing_zero()
+        s = b.sym_a(alpha, beta) if b.offset_len else 0
+        num = b.nu_power(s) if s else b.one()
+        return b.to_pairing(num) / b.to_pairing(b.aut(M))
+
+    total = b.pairing_zero()
+    for (lk1, rk1), c1 in t1.terms.items():
+        for (lk2, rk2), c2 in t2.terms.items():
+            total = total + b.to_pairing(c1 * c2) * leg(lk1, lk2) * leg(rk1, rk2)
+    return total
+
+
+def _random_tensor_pair(rng, b, labels, scalar, offsets, nterms):
+    """Two tensors over a shared label pool: t1 reuses some of t2's label
+    pairs (with fresh offsets) and adds pairs t2 does not have."""
+    def key():
+        return ((rng.choice(labels), offsets()), (rng.choice(labels), offsets()))
+
+    t2 = {key(): scalar() for _ in range(nterms)}
+    t1 = {}
+    for (lk, rk) in rng.sample(sorted(t2, key=repr), nterms // 2):
+        t1[((lk[0], offsets()), (rk[0], offsets()))] = scalar()
+        t1[(lk, rk)] = scalar()
+    for _ in range(nterms // 2):
+        t1[key()] = scalar()
+    return TensorElement(b, t1), TensorElement(b, t2)
+
+
+def _check_pairing_tensor_against_brute(rng, b, labels, scalar, offsets, rounds):
+    nonzero = 0
+    for _ in range(rounds):
+        t1, t2 = _random_tensor_pair(rng, b, labels, scalar, offsets, 8)
+        pairs = {(lk[0], rk[0]) for lk, rk in t2.terms}
+        assert any((lk[0], rk[0]) not in pairs for lk, rk in t1.terms)
+        got = pairing_tensor(b, t1, t2)
+        assert got == _pairing_tensor_brute(b, t1, t2)
+        assert pairing_tensor(b, t2, t1) == _pairing_tensor_brute(b, t2, t1)
+        nonzero += not got.is_zero()
+    assert nonzero
+
+
+def test_pairing_tensor_join_matches_brute_classical():
+    rng = random.Random(7)
+    b = ClassicalGeneric()
+    labels = [la for n in range(4) for la in all_partitions(n)]
+    t = LaurentPoly.t()
+
+    def scalar():
+        return LaurentPoly.from_int(rng.choice((-2, -1, 1, 3))) + t * rng.randint(-1, 1)
+
+    _check_pairing_tensor_against_brute(rng, b, labels, scalar, lambda: (), 5)
+
+
+def test_pairing_tensor_join_matches_brute_quiver():
+    rng = random.Random(11)
+    b = QuiverAtQ(Quiver.cyclic(3), 2)
+    dims = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (2, 1, 0), (1, 1, 1)]
+    labels = [lab for d in dims for lab in b.classes_of_dim(d)]
+
+    def scalar():
+        return QrtScalar(2, rng.choice((-3, -1, 1, 2)), rng.randint(-1, 1))
+
+    def offsets():
+        return tuple(rng.randint(-1, 1) for _ in range(3))
+
+    _check_pairing_tensor_against_brute(rng, b, labels, scalar, offsets, 12)
+
+
+def test_quiver_backend_memoizes_representatives():
+    for quiver, dims in (
+        (Quiver.cyclic(3), [(1, 1, 1), (2, 1, 0)]),
+        (Quiver.a2(), [(1, 1), (2, 1)]),
+        (Quiver.jordan_quiver(), [(3,)]),
+    ):
+        b = QuiverAtQ(quiver, 2)
+        for d in dims:
+            for lab in b.classes_of_dim(d):
+                rep = b.rep(lab)
+                assert rep == rep_from_label(quiver, 2, lab)
+                assert b.rep(lab) is rep
+        # the memo belongs to one backend instance
+        other = QuiverAtQ(quiver, 2)
+        lab = b.classes_of_dim(dims[0])[0]
+        assert other.rep(lab) is not b.rep(lab) and other.rep(lab) == b.rep(lab)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallalg.exactnum import (
     ConsistencyError,
@@ -211,6 +213,81 @@ def test_qrt_scalar_guards():
         QrtScalar(2, 1, 0) + QrtScalar(3, 1, 0)
     with pytest.raises(ZeroDivisionError):
         QrtScalar(2, 0, 0).inverse()
+
+
+# Property tests for QrtScalar. derandomize makes every run draw the same
+# examples, so the suite stays deterministic; no example database is kept.
+_qrt_settings = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+_primes = st.sampled_from((2, 3, 5, 7, 11))
+_parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_pairs = st.tuples(_parts, _parts)
+
+
+def _scalars(q, *pairs):
+    return [QrtScalar(q, a, b) for a, b in pairs]
+
+
+def _exact(x, q):
+    # the arithmetic must keep q and the Fraction parts of the public type
+    assert type(x) is QrtScalar and x.q == q
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+
+
+@_qrt_settings
+@given(_primes, _pairs, _pairs, _pairs)
+def test_qrt_scalar_ring_laws(q, xp, yp, zp):
+    x, y, z = _scalars(q, xp, yp, zp)
+    zero, one = QrtScalar(q), QrtScalar(q, 1)
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x
+    assert (x + (-x)).is_zero() and x - y == x + (-y)
+    assert 2 * x == x + x and x + 1 == x + one
+    if not x.is_zero():
+        assert x * x.inverse() == one
+        assert (y / x) * x == y
+    assert x ** 3 == x * x * x
+
+
+@_qrt_settings
+@given(_primes, _pairs, _pairs)
+def test_qrt_scalar_part_formulas(q, xp, yp):
+    (a1, b1), (a2, b2) = xp, yp
+    x, y = _scalars(q, xp, yp)
+    s, p = x + y, x * y
+    assert (s.a, s.b) == (a1 + a2, b1 + b2)
+    assert (p.a, p.b) == (a1 * a2 + q * b1 * b2, a1 * b2 + a2 * b1)
+    # both root parts zero: the product stays rational
+    r = QrtScalar(q, a1) * QrtScalar(q, a2)
+    assert (r.a, r.b) == (a1 * a2, 0)
+    if not x.is_zero():
+        n = a1 * a1 - q * b1 * b1
+        inv = x.inverse()
+        assert (inv.a, inv.b) == (a1 / n, -b1 / n)
+
+
+@_qrt_settings
+@given(_primes, _pairs, _pairs, st.integers(-3, 3))
+def test_qrt_scalar_results_stay_exact(q, xp, yp, n):
+    x, y = _scalars(q, xp, yp)
+    for r in (x + y, x - y, -x, x * y, x * 3, 3 * x, Fraction(2, 3) + x, 1 - x,
+              QrtScalar(q, x.a) * QrtScalar(q, y.a)):
+        _exact(r, q)
+    if not x.is_zero():
+        for r in (x.inverse(), y / x, 1 / x, x ** n):
+            _exact(r, q)
+    assert hash(x * y) == hash(QrtScalar(q, (x * y).a, (x * y).b))
+
+
+def test_qrt_scalar_constructor_still_validates():
+    for bad in (4, 1, 0, 9):
+        with pytest.raises(ValueError):
+            QrtScalar(bad, 1)
+    with pytest.raises(ValueError):
+        QrtScalar.nu(4)
 
 
 def test_laurent_at_nu():

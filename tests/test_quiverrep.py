@@ -393,6 +393,28 @@ def test_chain_rep_shapes():
     assert cyclic_type(r2) == ((), (), (2,))
 
 
+def test_quiver_derived_fields_are_fixed_and_invisible():
+    for Q, arrows, cycle in (
+        (Quiver.a2(), ((0, 1),), False),
+        (Quiver.kronecker(), ((0, 1), (0, 1)), False),
+        (Quiver.cyclic(3), ((0, 1), (1, 2), (2, 0)), True),
+        (Quiver.jordan_quiver(), ((0, 0),), False),
+    ):
+        assert Q.effective_arrows() == arrows
+        assert Q.is_single_cycle() is cycle
+        # eq, hash and repr see only the four declared fields
+        assert Q == Quiver(Q.vertices, Q.arrows, Q.nilpotent, Q.jordan)
+        assert hash(Q) == hash((Q.vertices, Q.arrows, Q.nilpotent, Q.jordan))
+        assert repr(Q) == (
+            f"Quiver(vertices={Q.vertices!r}, arrows={Q.arrows!r}, "
+            f"nilpotent={Q.nilpotent!r}, jordan={Q.jordan!r})"
+        )
+        assert Quiver.from_json(Q.to_json()) == Q
+    assert Quiver.a2() != Quiver.kronecker()
+    # a 3-cycle through the vertices out of declaration order is still one cycle
+    assert Quiver(("a", "b", "c"), (("a", "c"), ("c", "b"), ("b", "a"))).is_single_cycle()
+
+
 def test_budget_errors_ignore_warm_caches():
     # a result computed under a large budget must not satisfy a call whose
     # budget is too small: the failure may not depend on what ran before
@@ -407,6 +429,11 @@ def test_budget_errors_ignore_warm_caches():
     submodule_type_table(jordan_rep((2, 2, 1), 2), budget=3 ** 16)
     with pytest.raises(BudgetError):
         submodule_type_table(jordan_rep((2, 2, 1), 2), budget=100)
+    # classifying a Kronecker (2,2) rep enumerates all 2^8 points at q=2
+    kron = QuiverRep(Quiver.kronecker(), 2, (2, 2), (((1, 0), (0, 1)), ((0, 1), (0, 0))))
+    classify_rep(kron, budget=3 ** 16)
+    with pytest.raises(BudgetError, match="256 points"):
+        classify_rep(kron, budget=10)
 
 
 def _a2_rank1(a, c, q):
