@@ -73,14 +73,28 @@ def hall_poly_col(nu: Partition, mu: Partition, r: int) -> LaurentPoly:
     return out.shift(exponent)
 
 
+_COLUMN_ROW_CACHE: Dict[Tuple[Partition, int], Tuple[Tuple[Partition, LaurentPoly], ...]] = {}
+
+
+def _column_row(sigma: Partition, r: int) -> Tuple[Tuple[Partition, LaurentPoly], ...]:
+    """The nonzero P^tau_{sigma,(1^r)}, as (tau, polynomial) pairs in
+    all_partitions order; tau runs over the vertical r-strips added to sigma."""
+    key = (sigma, r)
+    if key not in _COLUMN_ROW_CACHE:
+        row = []
+        for tau in all_partitions(weight(sigma) + r):
+            p = hall_poly_col(tau, sigma, r)
+            if not p.is_zero():
+                row.append((tau, p))
+        _COLUMN_ROW_CACHE[key] = tuple(row)
+    return _COLUMN_ROW_CACHE[key]
+
+
 def _mult_by_column(elem: Dict[Partition, LaurentPoly], r: int) -> Dict[Partition, LaurentPoly]:
     """Right-multiply an [I]-basis element by [I_(1^r)]."""
     out: Dict[Partition, LaurentPoly] = {}
     for sigma, c in elem.items():
-        for tau in all_partitions(weight(sigma) + r):
-            p = hall_poly_col(tau, sigma, r)
-            if p.is_zero():
-                continue
+        for tau, p in _column_row(sigma, r):
             acc = out.get(tau, L.zero()) + c * p
             if acc.is_zero():
                 out.pop(tau, None)
@@ -104,9 +118,7 @@ def elementary_expansion(n: int) -> Dict[Partition, Dict[Partition, LaurentPoly]
         return _EXPANSION_CACHE[n]
     table: Dict[Partition, Dict[Partition, LaurentPoly]] = {}
     for kappa in all_partitions(n):
-        elem: Dict[Partition, LaurentPoly] = {(): L.one()}
-        for col in sorted(conjugate(kappa)):
-            elem = _mult_by_column(elem, col)
+        elem = _mu_times_x((), kappa)
         diag = elem.get(kappa, L.zero())
         if not diag.is_one():
             raise ConsistencyError(f"elementary product X_{kappa} lacks unit diagonal")

@@ -40,6 +40,10 @@ class LaurentPoly:
     """Laurent polynomial with integer coefficients, dict of exp -> coeff.
 
     Instances are treated as immutable; all operations return new objects.
+    The stored dict never holds a zero coefficient, which __eq__, __hash__
+    and is_zero rely on. The constructor validates and canonicalizes its
+    input; the arithmetic builds its results with _laurent, which skips
+    both because it drops zero coefficients itself.
     """
 
     __slots__ = ("_c",)
@@ -134,13 +138,17 @@ class LaurentPoly:
             return NotImplemented
         c = dict(self._c)
         for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return LaurentPoly(c)
+            w = c.get(e, 0) + v
+            if w:
+                c[e] = w
+            else:
+                del c[e]
+        return _laurent(c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -v for e, v in self._c.items()})
+        return _laurent({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -162,7 +170,7 @@ class LaurentPoly:
             for e2, v2 in other._c.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + v1 * v2
-        return LaurentPoly(c)
+        return _laurent({e: v for e, v in c.items() if v})
 
     __rmul__ = __mul__
 
@@ -180,39 +188,43 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: v for e, v in self._c.items()})
+        return _laurent({e + k: v for e, v in self._c.items()})
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in Z[t, t^-1]; raises ValueError if not exact."""
+        """Exact division in Z[t, t^-1]; raises ValueError if not exact.
+
+        Long division in integers: in Z[t] the quotient's coefficients are
+        the step quotients, so a step that does not divide evenly means the
+        division is not exact.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
         # shift both to honest polynomials, divide, shift back
         sv, ov = self.valuation(), other.valuation()
-        num = {e - sv: Fraction(v) for e, v in self._c.items()}
-        den = {e - ov: Fraction(v) for e, v in other._c.items()}
-        dd = max(den)
-        lead = den[dd]
-        quo: Dict[int, Fraction] = {}
+        num = {e - sv: v for e, v in self._c.items()}
+        den = [(e - ov, v) for e, v in other._c.items()]
+        od = other.degree()
+        dd = od - ov
+        lead = other._c[od]
+        quo: Dict[int, int] = {}
         while num:
             nd = max(num)
             if nd < dd:
                 raise ValueError("inexact Laurent division")
-            q = num[nd] / lead
-            quo[nd - dd] = q
-            for e, v in den.items():
-                k = e + nd - dd
-                num[k] = num.get(k, Fraction(0)) - q * v
-                if num[k] == 0:
-                    del num[k]
-        out: Dict[int, int] = {}
-        for e, v in quo.items():
-            if v.denominator != 1:
+            q, rem = divmod(num[nd], lead)
+            if rem:
                 raise ValueError("inexact Laurent division (fractional quotient)")
-            if v != 0:
-                out[e + sv - ov] = int(v)
-        return LaurentPoly(out)
+            quo[nd - dd + sv - ov] = q
+            for e, v in den:
+                k = e + nd - dd
+                w = num.get(k, 0) - q * v
+                if w:
+                    num[k] = w
+                else:
+                    del num[k]
+        return _laurent(quo)
 
     def evaluate(self, x) -> Fraction:
         """Evaluate at a nonzero rational point."""
@@ -298,6 +310,13 @@ class LaurentPoly:
         return out
 
 
+def _laurent(c: Dict[int, int]) -> LaurentPoly:
+    """LaurentPoly from an int dict with no zero values, without re-validating."""
+    x = object.__new__(LaurentPoly)
+    x._c = c
+    return x
+
+
 # ---------------------------------------------------------------------------
 # classical q-analogues
 # ---------------------------------------------------------------------------
@@ -319,10 +338,13 @@ def qfact_plus(n: int) -> LaurentPoly:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def gauss_binomial(n: int, r: int) -> LaurentPoly:
     """Gaussian binomial coefficient [n choose r] as a polynomial in t.
 
     Counts r-dimensional subspaces of an n-dimensional space over F_t.
+    Memoized (results are immutable), so the exactness check runs once per
+    (n, r).
     """
     if n < 0:
         raise ValueError("gauss_binomial needs n >= 0")

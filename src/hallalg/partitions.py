@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .exactnum import LaurentPoly
+from .exactnum import ConsistencyError, LaurentPoly
 
 Partition = Tuple[int, ...]
 
@@ -85,8 +85,8 @@ def aut_poly(la: Partition) -> LaurentPoly:
         for j in range(1, l + 1):
             out = out * LaurentPoly({0: 1, -j: -1})
     out = out.shift(weight(la) + 2 * nstat(la))
-    if not out.is_polynomial():  # pragma: no cover
-        raise AssertionError("aut_poly must be an honest polynomial")
+    if not out.is_polynomial():
+        raise ConsistencyError(f"aut_poly({la}) must be an honest polynomial")
     return out
 
 
@@ -123,7 +123,10 @@ def transpose_dominance_leq(nu: Partition, la: Partition) -> bool:
         if sn < sl:
             ok2 = False
             break
-    assert ok == ok2, (nu, la)
+    if ok != ok2:
+        raise ConsistencyError(
+            f"transpose dominance forms disagree on {nu} <= {la}: {ok} vs {ok2}"
+        )
     return ok
 
 

@@ -1,6 +1,7 @@
 """Generic classical Hall algebra: Hall polynomials, Hopf structure, symmetric
 functions. Oracle values are frozen from hand computations noted inline."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hallalg.exactnum import LaurentPoly, RationalFunction
 from hallalg.partitions import all_partitions, aut_poly, weight
 from hallalg.classical import (
     GenericHallElement,
+    _column_row,
     SymFun,
     antipode_generic,
     comult_generic,
@@ -276,3 +278,65 @@ def test_hl_pairing_power_sums_small():
                 assert got == want, (q, r, s)
     with pytest.raises(ValueError):
         hl_pairing(SymFun.e(1), SymFun.e(1), 1)
+
+
+def _is_vertical_strip(tau, sigma, r):
+    # tau/sigma is a vertical r-strip: r boxes, at most one in each row
+    if len(tau) < len(sigma) or weight(tau) != weight(sigma) + r:
+        return False
+    padded = sigma + (0,) * (len(tau) - len(sigma))
+    return all(t - s in (0, 1) for t, s in zip(tau, padded))
+
+
+def test_column_rows_match_brute_scan():
+    # the memoized row is the full scan of hall_poly_col over every tau, and
+    # its support is the vertical r-strips over sigma (Macdonald II (4.6))
+    for w in range(8):
+        for sigma in all_partitions(w):
+            for r in range(1, 9 - w):
+                brute = tuple(
+                    (tau, hall_poly_col(tau, sigma, r))
+                    for tau in all_partitions(w + r)
+                    if not hall_poly_col(tau, sigma, r).is_zero()
+                )
+                assert _column_row(sigma, r) == brute
+                strips = {tau for tau in all_partitions(w + r) if _is_vertical_strip(tau, sigma, r)}
+                assert {tau for tau, _ in brute} == strips
+
+
+def test_degree_9_table_symmetric_and_polynomial():
+    count = 0
+    for k in range(10):
+        for nu in all_partitions(9):
+            for mu in all_partitions(k):
+                for la in all_partitions(9 - k):
+                    p = hall_poly(nu, mu, la)
+                    assert p == hall_poly(nu, la, mu)
+                    assert p.is_polynomial()
+                    count += 1
+    assert count == 9000
+
+
+def test_hall_associativity_degree_8_sample():
+    # ([a][b])[c] == [a]([b][c]) coefficientwise:
+    # sum_s P^s_{a,b} P^nu_{s,c} == sum_t P^nu_{a,t} P^t_{b,c}
+    rng = random.Random(8)
+    triples = []
+    while len(triples) < 40:
+        i = rng.randint(1, 6)
+        j = rng.randint(1, 7 - i)
+        a, b, c = (rng.choice(all_partitions(n)) for n in (i, j, 8 - i - j))
+        triples.append((a, b, c))
+    for a, b, c in triples:
+        for nu in all_partitions(8):
+            left = sum(
+                (hall_poly(s, a, b) * hall_poly(nu, s, c)
+                 for s in all_partitions(weight(a) + weight(b))),
+                L.zero(),
+            )
+            right = sum(
+                (hall_poly(nu, a, t) * hall_poly(t, b, c)
+                 for t in all_partitions(weight(b) + weight(c))),
+                L.zero(),
+            )
+            assert left == right, (a, b, c, nu)

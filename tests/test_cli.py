@@ -172,6 +172,21 @@ def test_consistency_error_exit_code(monkeypatch):
     assert "orbit-stabilizer division failed" in err
 
 
+def test_dominance_cross_check_exit_code(monkeypatch):
+    # the check in transpose_dominance_leq is an error, not an assert, so it
+    # survives python -O and reaches the CLI as exit code 4
+    import hallalg.classical
+    import hallalg.partitions
+
+    for cache in ("_EXPANSION_CACHE", "_IBASIS_CACHE", "_HALL_CACHE"):
+        monkeypatch.setattr(hallalg.classical, cache, {})
+    monkeypatch.setattr(hallalg.partitions, "conjugate", lambda la: tuple(la))
+    code, out, err = run(["hallpoly", "(2,1)", "(1)", "(1,1)"])
+    assert code == 4
+    assert out == ""
+    assert "disagree" in err
+
+
 def test_render_tensor_scalar_times_unit_factor():
     # c * (1 (x) y) must show the scalar in the left slot, not glue its
     # digits onto the unit

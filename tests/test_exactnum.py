@@ -313,3 +313,130 @@ def test_qfact_plus_degree():
         assert f.evaluate(1) == math.factorial(n)
         if n:
             assert f.degree() == n * (n - 1) // 2
+
+
+# Property tests for LaurentPoly, with sympy as an independent oracle for the
+# ring operations and a long division over Fraction as the oracle for the
+# integer one in divexact.
+_laurent_settings = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+_laurents = st.dictionaries(
+    st.integers(-4, 4), st.integers(-6, 6), max_size=5
+).map(L)
+_nonzero_laurents = _laurents.filter(lambda p: not p.is_zero())
+
+
+def _canonical(p):
+    # no stored zero, so __eq__, __hash__ and is_zero agree with a rebuild
+    assert type(p) is L and all(type(v) is int and v != 0 for _, v in p.items())
+    rebuilt = L(dict(p.items()))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+    assert p.is_zero() == (len(list(p.items())) == 0)
+
+
+def _divexact_fraction(a, b):
+    """Long division over Fraction, as divexact did before it went integer."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if a.is_zero():
+        return L.zero()
+    sv, ov = a.valuation(), b.valuation()
+    num = {e - sv: Fraction(v) for e, v in a.items()}
+    den = {e - ov: Fraction(v) for e, v in b.items()}
+    dd = max(den)
+    lead = den[dd]
+    quo = {}
+    while num:
+        nd = max(num)
+        if nd < dd:
+            raise ValueError("inexact Laurent division")
+        q = num[nd] / lead
+        quo[nd - dd] = q
+        for e, v in den.items():
+            k = e + nd - dd
+            num[k] = num.get(k, Fraction(0)) - q * v
+            if num[k] == 0:
+                del num[k]
+    out = {}
+    for e, v in quo.items():
+        if v.denominator != 1:
+            raise ValueError("inexact Laurent division (fractional quotient)")
+        if v != 0:
+            out[e + sv - ov] = int(v)
+    return L(out)
+
+
+def _same_division(a, b):
+    try:
+        want = _divexact_fraction(a, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            a.divexact(b)
+        return None
+    got = a.divexact(b)
+    _canonical(got)
+    assert got == want
+    return got
+
+
+@_laurent_settings
+@given(_laurents, _laurents, _laurents)
+def test_laurent_ring_laws(a, b, c):
+    zero, one = L.zero(), L.one()
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a * zero).is_zero()
+    assert (a + (-a)).is_zero() and (a - a).is_zero() and a - b == a + (-b)
+    assert a + 2 == a + L.from_int(2) and 3 * a == a + a + a
+    assert a ** 3 == a * a * a and a.shift(2) == a * L.monomial(2)
+    for r in (a + b, a - b, -a, a * b, a + (-a), a * zero, a.shift(-3), a ** 2, 2 - a):
+        _canonical(r)
+
+
+@_laurent_settings
+@given(_laurents, _laurents)
+def test_laurent_agrees_with_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def to_sympy(p):
+        return sum((v * t**e for e, v in p.items()), sympy.Integer(0))
+
+    sa, sb = to_sympy(a), to_sympy(b)
+    for ours, theirs in ((a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
+                         (a.shift(-2), sa * t**-2), (a ** 2, sa**2)):
+        assert sympy.expand(to_sympy(ours) - theirs) == 0
+    assert a.evaluate(3) == Fraction(str(sa.subs(t, 3)))
+
+
+@_laurent_settings
+@given(_laurents, _nonzero_laurents, _laurents)
+def test_laurent_divexact_matches_fraction_division(a, b, r):
+    # exact products come back as the factor they were built from
+    got = _same_division(a * b, b)
+    assert got == a
+    # random pairs are mostly inexact; non-monic divisors make fractional
+    # steps, and a perturbed product may or may not divide
+    _same_division(a, b)
+    _same_division(a * b + r, b)
+    _same_division(a * b, b * 2 - 1)
+
+
+def test_laurent_divexact_fractional_step_raises():
+    # 2t^2 + 2 over 2t + 1: the first step (quotient t) is integral, the
+    # second (-1/2) is not
+    with pytest.raises(ValueError):
+        L({2: 2, 0: 2}).divexact(L({1: 2, 0: 1}))
+    assert L({2: 4, 1: 2}).divexact(L({1: 2, 0: 1})) == L({1: 2})
+    assert L({0: -6}).divexact(L({0: 3})) == L({0: -2})
+
+
+def test_gauss_binomial_is_cached_and_keeps_its_check(monkeypatch):
+    assert gauss_binomial(7, 3) is gauss_binomial(7, 3)
+
+    def inexact(self, other):
+        raise ValueError("inexact Laurent division")
+
+    monkeypatch.setattr(L, "divexact", inexact)
+    with pytest.raises(ConsistencyError):
+        gauss_binomial.__wrapped__(7, 3)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hallalg.exactnum import LaurentPoly
+import hallalg.partitions
+from hallalg.exactnum import ConsistencyError, LaurentPoly
 from hallalg.partitions import (
     all_partitions,
     as_partition,
@@ -140,3 +141,17 @@ def test_parse_render():
         parse_partition("[a]")
     for la in all_partitions(5):
         assert parse_partition(render_partition(la)) == la
+
+
+def test_dominance_cross_check_raises_consistency_error(monkeypatch):
+    # the two forms of transpose_dominance_leq must agree; with a broken
+    # conjugate they do not, and that is reported even under python -O
+    monkeypatch.setattr(hallalg.partitions, "conjugate", lambda la: tuple(la))
+    with pytest.raises(ConsistencyError, match="disagree"):
+        transpose_dominance_leq((1, 1), (2,))
+
+
+def test_aut_poly_check_raises_consistency_error(monkeypatch):
+    monkeypatch.setattr(LaurentPoly, "is_polynomial", lambda self: False)
+    with pytest.raises(ConsistencyError):
+        aut_poly.__wrapped__((2, 1))
