@@ -2,22 +2,33 @@
 
 Basis elements [I_la] are indexed by partitions; structure constants are the
 Hall polynomials P^nu_{mu,la}(t), computed exactly by expanding elementary
-products and inverting the unitriangular change of basis. The same module
-houses the coproduct, antipode, pairing, and the symmetric-function picture
-(elementary basis, Newton power sums, Hall-Littlewood style inner product).
+products and inverting the unitriangular change of basis. This module also
+holds the symmetric-function picture (elementary basis, Newton power sums,
+Hall-Littlewood style inner product).
+
+The product, coproduct, antipode and Green pairing are the engine's, run on
+its classical backend (engine.CLASSICAL). GenericHallElement and the
+*_generic functions are a partition-keyed view of them: {la: coeff} in
+place of the engine's {(la, ()): coeff}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .exactnum import ConsistencyError, LaurentPoly, RationalFunction, gauss_binomial
+from . import engine  # engine imports this module back; read its names at call time
+from .exactnum import (
+    ConsistencyError,
+    LaurentPoly,
+    LinearCombination,
+    RationalFunction,
+    gauss_binomial,
+)
 from .partitions import (
     Partition,
     all_partitions,
     as_partition,
-    aut_poly,
     conjugate,
     dominance_key,
     multiplicities,
@@ -173,12 +184,16 @@ def hall_poly(nu: Partition, mu: Partition, la: Partition) -> LaurentPoly:
     """Hall polynomial P^nu_{mu,la}(t): number of submodules of a type-nu
     module isomorphic to type la with quotient of type mu, as a polynomial
     in the residue field size."""
-    nu, mu, la = as_partition(nu), as_partition(mu), as_partition(la)
-    if weight(nu) != weight(mu) + weight(la):
-        return L.zero()
+    return _hall_poly(as_partition(nu), as_partition(mu), as_partition(la))
+
+
+def _hall_poly(nu: Partition, mu: Partition, la: Partition) -> LaurentPoly:
+    """hall_poly on canonical partition tuples."""
     key = (nu, mu, la)
     if key in _HALL_CACHE:
         return _HALL_CACHE[key]
+    if weight(nu) != weight(mu) + weight(la):
+        return L.zero()
     expr = ibasis_in_elementary(weight(la))
     total = L.zero()
     for kappa, c in expr[la].items():
@@ -192,31 +207,32 @@ def hall_poly(nu: Partition, mu: Partition, la: Partition) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# the generic Hall algebra as a module of functions on elements
+# partition-keyed elements and their Hopf structure
 # ---------------------------------------------------------------------------
 
 
-class GenericHallElement:
-    """Finite Z[t,t^-1]-linear combination of basis classes [I_la]."""
+class _PartitionCombination(LinearCombination):
+    """Linear combination keyed by partitions with Laurent coefficients;
+    keys are normalized (and merged), int coefficients promoted."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Optional[Dict[Partition, LaurentPoly]] = None):
         t: Dict[Partition, LaurentPoly] = {}
-        if terms:
-            for la, c in terms.items():
-                la = as_partition(la)
-                if isinstance(c, int):
-                    c = L.from_int(c)
-                if not isinstance(c, LaurentPoly):
-                    raise ValueError(f"coefficient must be LaurentPoly, got {c!r}")
-                if not c.is_zero():
-                    acc = t.get(la, L.zero()) + c
-                    if acc.is_zero():
-                        t.pop(la, None)
-                    else:
-                        t[la] = acc
-        self.terms = t
+        for la, c in (terms or {}).items():
+            la = as_partition(la)
+            if isinstance(c, int):
+                c = L.from_int(c)
+            if not isinstance(c, LaurentPoly):
+                raise ValueError(f"coefficient must be LaurentPoly, got {c!r}")
+            t[la] = t[la] + c if la in t else c
+        super().__init__(None, t)
+
+
+class GenericHallElement(_PartitionCombination):
+    """Finite Z[t,t^-1]-linear combination of basis classes [I_la]."""
+
+    __slots__ = ()
 
     @classmethod
     def basis(cls, la: Partition) -> "GenericHallElement":
@@ -226,40 +242,11 @@ class GenericHallElement:
     def unit(cls) -> "GenericHallElement":
         return cls({(): L.one()})
 
-    @classmethod
-    def zero(cls) -> "GenericHallElement":
-        return cls()
-
     def coeff(self, la: Partition) -> LaurentPoly:
         return self.terms.get(as_partition(la), L.zero())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GenericHallElement") -> "GenericHallElement":
-        t = dict(self.terms)
-        for la, c in other.terms.items():
-            t[la] = t.get(la, L.zero()) + c
-        return GenericHallElement(t)
-
-    def __neg__(self) -> "GenericHallElement":
-        return GenericHallElement({la: -c for la, c in self.terms.items()})
-
-    def __sub__(self, other: "GenericHallElement") -> "GenericHallElement":
-        return self + (-other)
-
-    def scale(self, c) -> "GenericHallElement":
-        if isinstance(c, int):
-            c = L.from_int(c)
-        return GenericHallElement({la: c * v for la, v in self.terms.items()})
-
     def __mul__(self, other: "GenericHallElement") -> "GenericHallElement":
         return mult_generic(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GenericHallElement):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
@@ -273,21 +260,16 @@ class GenericHallElement:
         return "GenericHallElement(" + " + ".join(bits) + ")"
 
 
+def _lift(x: GenericHallElement) -> "engine.HallElement":
+    return engine.HallElement(engine.CLASSICAL, {(la, ()): c for la, c in x.terms.items()})
+
+
+def _view(x: "engine.HallElement") -> GenericHallElement:
+    return GenericHallElement({la: c for (la, _), c in x.terms.items()})
+
+
 def mult_generic(x: GenericHallElement, y: GenericHallElement) -> GenericHallElement:
-    out: Dict[Partition, LaurentPoly] = {}
-    for mu, cx in x.terms.items():
-        for la, cy in y.terms.items():
-            c = cx * cy
-            for nu in all_partitions(weight(mu) + weight(la)):
-                p = hall_poly(nu, mu, la)
-                if p.is_zero():
-                    continue
-                acc = out.get(nu, L.zero()) + c * p
-                if acc.is_zero():
-                    out.pop(nu, None)
-                else:
-                    out[nu] = acc
-    return GenericHallElement(out)
+    return _view(engine.multiply(engine.CLASSICAL, _lift(x), _lift(y)))
 
 
 TensorTerms = Dict[Tuple[Partition, Partition], LaurentPoly]
@@ -295,80 +277,27 @@ TensorTerms = Dict[Tuple[Partition, Partition], LaurentPoly]
 
 def comult_generic(x: GenericHallElement) -> TensorTerms:
     """Coproduct (k trivial): [I_nu] -> sum (a_mu a_la / a_nu) P^nu_{mu,la}
-    [I_mu] (x) [I_la]. Every coefficient is asserted to be Laurent."""
-    out: TensorTerms = {}
-    for nu, c in x.terms.items():
-        a_nu = aut_poly(nu)
-        n = weight(nu)
-        for k in range(n + 1):
-            for mu in all_partitions(k):
-                for la in all_partitions(n - k):
-                    p = hall_poly(nu, mu, la)
-                    if p.is_zero():
-                        continue
-                    num = aut_poly(mu) * aut_poly(la) * p
-                    try:
-                        coeff = num.divexact(a_nu)
-                    except ValueError as exc:
-                        raise ConsistencyError(
-                            f"coproduct coefficient at {(nu, mu, la)} is not Laurent"
-                        ) from exc
-                    key = (mu, la)
-                    acc = out.get(key, L.zero()) + c * coeff
-                    if acc.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
-    return out
+    [I_mu] (x) [I_la]. A coefficient that is not Laurent raises
+    ConsistencyError."""
+    t = engine.comultiply(engine.CLASSICAL, _lift(x))
+    return {(mu, la): c for ((mu, _), (la, _)), c in t.terms.items()}
 
 
 def counit_generic(x: GenericHallElement) -> LaurentPoly:
     return x.coeff(())
 
 
-_ANTIPODE_CACHE: Dict[Partition, GenericHallElement] = {}
-
-
 def antipode_generic(x: GenericHallElement) -> GenericHallElement:
     """Hopf antipode via the counit recursion: for nu nonempty
-    S([I_nu]) = -[I_nu] - sum over middle coproduct terms [I_mu] * S([I_la]).
-    Triangular in |la| < |nu|, so it terminates."""
-    out = GenericHallElement.zero()
-    for nu, c in x.terms.items():
-        out = out + _antipode_basis(nu).scale(c)
-    return out
-
-
-def _antipode_basis(nu: Partition) -> GenericHallElement:
-    if nu in _ANTIPODE_CACHE:
-        return _ANTIPODE_CACHE[nu]
-    if nu == ():
-        res = GenericHallElement.unit()
-    else:
-        acc = GenericHallElement.basis(nu)
-        for (mu, la), coeff in comult_generic(GenericHallElement.basis(nu)).items():
-            if mu == () or la == ():
-                continue
-            term = mult_generic(
-                GenericHallElement({mu: coeff}), _antipode_basis(la)
-            )
-            acc = acc + term
-        res = -acc
-    _ANTIPODE_CACHE[nu] = res
-    return res
+    S([I_nu]) = -[I_nu] - sum over middle coproduct terms [I_mu] * S([I_la])."""
+    return _view(engine.antipode(engine.CLASSICAL, _lift(x)))
 
 
 def green_pairing_generic(
     x: GenericHallElement, y: GenericHallElement
 ) -> RationalFunction:
     """Diagonal pairing ([I_la],[I_mu]) = delta / aut_poly(la)."""
-    total = RationalFunction.zero()
-    for la, cx in x.terms.items():
-        cy = y.terms.get(la)
-        if cy is None:
-            continue
-        total = total + RationalFunction(cx * cy, aut_poly(la))
-    return total
+    return engine.pairing(engine.CLASSICAL, _lift(x), _lift(y))
 
 
 # ---------------------------------------------------------------------------
@@ -376,28 +305,13 @@ def green_pairing_generic(
 # ---------------------------------------------------------------------------
 
 
-class SymFun:
+class SymFun(_PartitionCombination):
     """Symmetric function as a finite sum of e_la monomials, la a partition.
 
     e_la means the product e_{la_1} e_{la_2} ... ; coefficients are Laurent.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[Partition, LaurentPoly]] = None):
-        t: Dict[Partition, LaurentPoly] = {}
-        if terms:
-            for la, c in terms.items():
-                la = as_partition(la)
-                if isinstance(c, int):
-                    c = L.from_int(c)
-                if not c.is_zero():
-                    acc = t.get(la, L.zero()) + c
-                    if acc.is_zero():
-                        t.pop(la, None)
-                    else:
-                        t[la] = acc
-        self.terms = t
+    __slots__ = ()
 
     @classmethod
     def e(cls, r: int) -> "SymFun":
@@ -408,32 +322,8 @@ class SymFun:
         return cls({(r,): L.one()})
 
     @classmethod
-    def zero(cls) -> "SymFun":
-        return cls()
-
-    @classmethod
     def one(cls) -> "SymFun":
         return cls({(): L.one()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SymFun") -> "SymFun":
-        t = dict(self.terms)
-        for la, c in other.terms.items():
-            t[la] = t.get(la, L.zero()) + c
-        return SymFun(t)
-
-    def __neg__(self) -> "SymFun":
-        return SymFun({la: -c for la, c in self.terms.items()})
-
-    def __sub__(self, other: "SymFun") -> "SymFun":
-        return self + (-other)
-
-    def scale(self, c) -> "SymFun":
-        if isinstance(c, int):
-            c = L.from_int(c)
-        return SymFun({la: c * v for la, v in self.terms.items()})
 
     def __mul__(self, other: "SymFun") -> "SymFun":
         out: Dict[Partition, LaurentPoly] = {}
@@ -442,11 +332,6 @@ class SymFun:
                 key = tuple(sorted(a + b, reverse=True))
                 out[key] = out.get(key, L.zero()) + ca * cb
         return SymFun(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFun):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:

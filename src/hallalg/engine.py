@@ -10,11 +10,18 @@ All multiplication is the twisted one: [M][N] = v^<M,N> sum_R G^R_MN [R],
 with G the submodule count. The coproduct, Green pairing, antipode (two
 independent routes), inverse antipode, quantum Serre residual and the
 Drinfeld double cross-relation are built on top of the same backend
-protocol.
+protocol. This is the only implementation of the Hopf operations:
+hallalg.classical's partition-keyed functions run them on CLASSICAL.
+
+Each backend instance keeps one memo, filled by the functions decorated
+with _memoized (product rows, coproduct terms, antipode values, classes of
+a dimension and, on quivers, class representatives); it lives as long as
+the backend.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,20 +29,36 @@ from .exactnum import (
     BudgetError,
     ConsistencyError,
     LaurentPoly,
+    LinearCombination,
     QrtScalar,
     RationalFunction,
     balanced_qfactorial,
     laurent_at_nu,
 )
 from .partitions import all_partitions, aut_poly, dominance_key, parse_partition, render_partition
-from . import quiverrep
-from .classical import hall_poly
+from . import classical, quiverrep
 from .quiverrep import Quiver, enumerate_iso_classes, label_dim, rep_from_label
 
 
 # ---------------------------------------------------------------------------
 # backends
 # ---------------------------------------------------------------------------
+
+
+def _memoized(fn):
+    """Memoize fn(b, *args) in the backend's memo, keyed by fn's qualified
+    name and args; values are never None."""
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def recall(b, *args):
+        key = (name, args)
+        val = b._memo.get(key)
+        if val is None:
+            val = b._memo[key] = fn(b, *args)
+        return val
+
+    return recall
 
 
 class ClassicalGeneric:
@@ -47,11 +70,7 @@ class ClassicalGeneric:
     name = "classical"
 
     def __init__(self):
-        self._mult_rows: Dict[Tuple, Dict] = {}
-        self._delta_cache: Dict = {}
-        self._antipode_cache: Dict = {}
-        self._antipode_inv_cache: Dict = {}
-        self._antipode_closed_cache: Dict = {}
+        self._memo: Dict = {}
 
     # labels and grading
     def zero_label(self):
@@ -67,8 +86,10 @@ class ClassicalGeneric:
 
     def classes_of_dim(self, gamma) -> List[Tuple[int, ...]]:
         (n,) = self.normalize_gamma(gamma)
-        if n < 0:
-            return []
+        return self._classes(n) if n >= 0 else []
+
+    @_memoized
+    def _classes(self, n: int) -> List[Tuple[int, ...]]:
         return sorted(all_partitions(n), key=dominance_key)
 
     def dim_of(self, label) -> Tuple[int, ...]:
@@ -79,7 +100,8 @@ class ClassicalGeneric:
 
     # structure constants
     def hall(self, R, M, N):
-        return hall_poly(R, M, N)
+        # labels are canonical partitions, so skip hall_poly's normalization
+        return classical._hall_poly(R, M, N)
 
     def aut(self, label):
         return aut_poly(label)
@@ -109,7 +131,13 @@ class ClassicalGeneric:
         return LaurentPoly.one()
 
     def coeff_div(self, a, b):
-        return a.divexact(b)
+        try:
+            return a.divexact(b)
+        except ValueError as exc:
+            raise ConsistencyError(
+                f"{self.name} backend: {a.render()} divided by {b.render()} "
+                "is not a Laurent polynomial"
+            ) from exc
 
     def check_element_scalar(self, c) -> None:
         pass  # Laurent by construction
@@ -144,13 +172,7 @@ class QuiverAtQ:
         self.budget = quiverrep.DEFAULT_BUDGET if budget is None else budget
         self.offset_len = quiver.n
         self.name = f"quiver(q={q})"
-        self._class_cache: Dict[Tuple[int, ...], List] = {}
-        self._rep_cache: Dict = {}
-        self._mult_rows: Dict[Tuple, Dict] = {}
-        self._delta_cache: Dict = {}
-        self._antipode_cache: Dict = {}
-        self._antipode_inv_cache: Dict = {}
-        self._antipode_closed_cache: Dict = {}
+        self._memo: Dict = {}
 
     def zero_label(self):
         return self.classes_of_dim((0,) * self.quiver.n)[0]
@@ -169,12 +191,12 @@ class QuiverAtQ:
         gamma = self.normalize_gamma(gamma)
         if any(g < 0 for g in gamma):
             return []
-        if gamma not in self._class_cache:
-            classes = enumerate_iso_classes(
-                self.quiver, self.q, gamma, budget=self.budget
-            )
-            self._class_cache[gamma] = [lab for lab, _, _ in classes]
-        return self._class_cache[gamma]
+        return self._classes(gamma)
+
+    @_memoized
+    def _classes(self, gamma: Tuple[int, ...]) -> List:
+        classes = enumerate_iso_classes(self.quiver, self.q, gamma, budget=self.budget)
+        return [lab for lab, _, _ in classes]
 
     def dim_of(self, label) -> Tuple[int, ...]:
         return label_dim(self.quiver, label)
@@ -182,13 +204,11 @@ class QuiverAtQ:
     def offset_of_dim(self, dim) -> Tuple[int, ...]:
         return tuple(dim)
 
+    @_memoized
     def rep(self, label):
         """The class representative, built and validated once per label
         (QuiverRep is frozen, so every caller can share it)."""
-        rep = self._rep_cache.get(label)
-        if rep is None:
-            rep = self._rep_cache[label] = rep_from_label(self.quiver, self.q, label)
-        return rep
+        return rep_from_label(self.quiver, self.q, label)
 
     def hall(self, R, M, N):
         cnt = quiverrep.count_submodules(self.rep(R), M, N, budget=self.budget)
@@ -264,18 +284,11 @@ def _zero_offset(b) -> Tuple[int, ...]:
     return (0,) * b.offset_len
 
 
-class HallElement:
-    """Finite sum of [label] k_offset terms over one backend."""
+class HallElement(LinearCombination):
+    """Finite sum of [label] k_offset terms over one backend, stored as
+    {(label, k_offset): scalar}."""
 
-    __slots__ = ("backend", "terms")
-
-    def __init__(self, backend, terms: Optional[Dict] = None):
-        self.backend = backend
-        clean = {}
-        for key, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[key] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def basis(cls, backend, label, offset: Optional[Tuple[int, ...]] = None) -> "HallElement":
@@ -292,13 +305,6 @@ class HallElement:
     def one(cls, backend) -> "HallElement":
         return cls.basis(backend, backend.zero_label())
 
-    @classmethod
-    def zero(cls, backend) -> "HallElement":
-        return cls(backend, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_plain(self) -> bool:
         z = _zero_offset(self.backend)
         return all(off == z for _, off in self.terms)
@@ -307,34 +313,8 @@ class HallElement:
         off = _zero_offset(self.backend) if offset is None else tuple(offset)
         return self.terms.get((label, off), self.backend.zero())
 
-    def __add__(self, other: "HallElement") -> "HallElement":
-        _check_same_backend(self.backend, other.backend)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return HallElement(self.backend, out)
-
-    def __neg__(self) -> "HallElement":
-        return HallElement(self.backend, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "HallElement") -> "HallElement":
-        return self + (-other)
-
-    def scale(self, c) -> "HallElement":
-        return HallElement(self.backend, {k: v * c for k, v in self.terms.items()})
-
     def __mul__(self, other: "HallElement") -> "HallElement":
         return multiply(self.backend, self, other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HallElement)
-            and self.backend is other.backend
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("HallElement is mutable-ish; not hashable")
 
     def sorted_terms(self):
         return sorted(
@@ -354,51 +334,11 @@ class HallElement:
         return " + ".join(bits)
 
 
-class TensorElement:
-    """Finite sum of (x-term tensor y-term) over one backend."""
+class TensorElement(LinearCombination):
+    """Finite sum of (x-term tensor y-term) over one backend, stored as
+    {((label, k_offset), (label, k_offset)): scalar}."""
 
-    __slots__ = ("backend", "terms")
-
-    def __init__(self, backend, terms: Optional[Dict] = None):
-        self.backend = backend
-        clean = {}
-        for key, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[key] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, backend) -> "TensorElement":
-        return cls(backend, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        _check_same_backend(self.backend, other.backend)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return TensorElement(self.backend, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.backend, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scale(self, c) -> "TensorElement":
-        return TensorElement(self.backend, {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.backend is other.backend
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("TensorElement is not hashable")
+    __slots__ = ()
 
     def coeff(self, left_key, right_key):
         return self.terms.get((left_key, right_key), self.backend.zero())
@@ -483,19 +423,15 @@ def _neg_offset(a: Tuple[int, ...]) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+@_memoized
 def _hall_row(b, M, N) -> Dict:
-    """All R with G^R_MN != 0, as {R: G}; memoized per backend."""
-    key = (M, N)
-    row = b._mult_rows.get(key)
-    if row is None:
-        dM, dN = b.dim_of(M), b.dim_of(N)
-        dR = tuple(x + y for x, y in zip(dM, dN))
-        row = {}
-        for R in b.classes_of_dim(dR):
-            g = b.hall(R, M, N)
-            if not g.is_zero():
-                row[R] = g
-        b._mult_rows[key] = row
+    """All R with G^R_MN != 0, as {R: G}."""
+    dR = _add_offsets(b.dim_of(M), b.dim_of(N))
+    row = {}
+    for R in b.classes_of_dim(dR):
+        g = b.hall(R, M, N)
+        if not g.is_zero():
+            row[R] = g
     return row
 
 
@@ -535,11 +471,10 @@ def one_gamma(b, gamma) -> HallElement:
 # ---------------------------------------------------------------------------
 
 
+@_memoized
 def _delta_basis(b, R) -> List[Tuple[object, object, object]]:
     """Terms (M, N, coeff) of Delta([R]) without offsets applied: coeff =
-    v^<M,N> (a_M a_N / a_R) G^R_MN; memoized."""
-    if R in b._delta_cache:
-        return b._delta_cache[R]
+    v^<M,N> (a_M a_N / a_R) G^R_MN."""
     dR = b.dim_of(R)
     aR = b.aut(R)
     out = []
@@ -557,7 +492,6 @@ def _delta_basis(b, R) -> List[Tuple[object, object, object]]:
                 if e:
                     coeff = coeff * b.nu_power(e)
                 out.append((M, N, coeff))
-    b._delta_cache[R] = out
     return out
 
 
@@ -677,39 +611,39 @@ def _k_left_mul(b, gamma: Tuple[int, ...], x: HallElement) -> HallElement:
     return HallElement(b, out)
 
 
-def _antipode_basis(b, M) -> HallElement:
-    """S([M]) by the recursion from m(1 (x) S)Delta = unit . counit."""
-    if M in b._antipode_cache:
-        return b._antipode_cache[M]
-    zero_lab = b.zero_label()
-    if M == zero_lab:
-        out = HallElement.one(b)
-    else:
-        acc = HallElement.basis(b, M)
-        for A, Bb, coeff in _delta_basis(b, M):
-            if A == zero_lab or Bb == zero_lab:
-                continue
-            piece = HallElement(
-                b, {(A, b.offset_of_dim(b.dim_of(Bb))): coeff}
-            )
-            acc = acc + multiply(b, piece, _antipode_basis(b, Bb))
-        out = -_k_left_mul(b, _neg_offset(b.offset_of_dim(b.dim_of(M))), acc)
-    b._antipode_cache[M] = out
-    return out
-
-
-def antipode(b, x: HallElement) -> HallElement:
-    """S, extended by S([M]k_a) = k_{-a} S([M])."""
+def _extend_over_k(b, x: HallElement, basis_map) -> HallElement:
+    """Extend an antihomomorphism known on the [M] (basis_map(b, M)) to
+    [M]k_a by f([M]k_a) = k_{-a} f([M]), and linearly."""
     _check_same_backend(b, x.backend)
     total = HallElement.zero(b)
     for (M, alpha), c in x.terms.items():
-        base = _antipode_basis(b, M)
+        base = basis_map(b, M)
         if any(alpha):
             base = _k_left_mul(b, _neg_offset(alpha), base)
         total = total + base.scale(c)
     for c in total.terms.values():
         b.check_element_scalar(c)
     return total
+
+
+@_memoized
+def _antipode_basis(b, M) -> HallElement:
+    """S([M]) by the recursion from m(1 (x) S)Delta = unit . counit."""
+    zero_lab = b.zero_label()
+    if M == zero_lab:
+        return HallElement.one(b)
+    acc = HallElement.basis(b, M)
+    for A, Bb, coeff in _delta_basis(b, M):
+        if A == zero_lab or Bb == zero_lab:
+            continue
+        piece = HallElement(b, {(A, b.offset_of_dim(b.dim_of(Bb))): coeff})
+        acc = acc + multiply(b, piece, _antipode_basis(b, Bb))
+    return -_k_left_mul(b, _neg_offset(b.offset_of_dim(b.dim_of(M))), acc)
+
+
+def antipode(b, x: HallElement) -> HallElement:
+    """S, extended by S([M]k_a) = k_{-a} S([M])."""
+    return _extend_over_k(b, x, _antipode_basis)
 
 
 def _nonzero_dim_seqs(b, dim: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], ...]]:
@@ -749,15 +683,11 @@ def _filtration_count(b, R, seq, memo):
     return total
 
 
+@_memoized
 def _antipode_closed_basis(b, M) -> HallElement:
     """S([M]) by the closed filtration sum; independent of the recursion."""
-    if M in b._antipode_closed_cache:
-        return b._antipode_closed_cache[M]
-    zero_lab = b.zero_label()
-    if M == zero_lab:
-        out = HallElement.one(b)
-        b._antipode_closed_cache[M] = out
-        return out
+    if M == b.zero_label():
+        return HallElement.one(b)
     dM = b.dim_of(M)
     aM = b.aut(M)
     memo: Dict = {}
@@ -790,64 +720,37 @@ def _antipode_closed_basis(b, M) -> HallElement:
     out = _k_left_mul(b, _neg_offset(b.offset_of_dim(dM)), acc)
     for c in out.terms.values():
         b.check_element_scalar(c)
-    b._antipode_closed_cache[M] = out
     return out
 
 
 def antipode_closed(b, x: HallElement) -> HallElement:
-    _check_same_backend(b, x.backend)
-    total = HallElement.zero(b)
-    for (M, alpha), c in x.terms.items():
-        base = _antipode_closed_basis(b, M)
-        if any(alpha):
-            base = _k_left_mul(b, _neg_offset(alpha), base)
-        total = total + base.scale(c)
-    return total
+    return _extend_over_k(b, x, _antipode_closed_basis)
 
 
+@_memoized
 def _antipode_inv_basis(b, M) -> HallElement:
     """S^{-1}([M]) from the reversed-coproduct recursion: collecting the
     B = M term of m(S^{-1} (x) 1)Delta^op = unit . counit gives
     S^{-1}([M]) = (-[M] - sum_{A,B nonzero} coeff S^{-1}([B]) [A]k_B) k_{-M}."""
-    if M in b._antipode_inv_cache:
-        return b._antipode_inv_cache[M]
     zero_lab = b.zero_label()
     if M == zero_lab:
-        out = HallElement.one(b)
-    else:
-        acc = HallElement.basis(b, M)
-        for A, Bb, coeff in _delta_basis(b, M):
-            if A == zero_lab or Bb == zero_lab:
-                continue
-            piece = HallElement(
-                b, {(A, b.offset_of_dim(b.dim_of(Bb))): coeff}
-            )
-            acc = acc + multiply(b, _antipode_inv_basis(b, Bb), piece)
-        shift = _neg_offset(b.offset_of_dim(b.dim_of(M)))
-        out = HallElement(
-            b,
-            {
-                (X, _add_offsets(delta, shift)): -c
-                for (X, delta), c in acc.terms.items()
-            },
-        )
-    b._antipode_inv_cache[M] = out
-    return out
+        return HallElement.one(b)
+    acc = HallElement.basis(b, M)
+    for A, Bb, coeff in _delta_basis(b, M):
+        if A == zero_lab or Bb == zero_lab:
+            continue
+        piece = HallElement(b, {(A, b.offset_of_dim(b.dim_of(Bb))): coeff})
+        acc = acc + multiply(b, _antipode_inv_basis(b, Bb), piece)
+    shift = _neg_offset(b.offset_of_dim(b.dim_of(M)))
+    return HallElement(
+        b, {(X, _add_offsets(delta, shift)): -c for (X, delta), c in acc.terms.items()}
+    )
 
 
 def antipode_inv(b, x: HallElement) -> HallElement:
     """S^{-1}; like S it is an antihomomorphism, so
     S^{-1}([M]k_a) = S^{-1}(k_a applied last) = k_{-a} S^{-1}([M])."""
-    _check_same_backend(b, x.backend)
-    total = HallElement.zero(b)
-    for (M, alpha), c in x.terms.items():
-        base = _antipode_inv_basis(b, M)
-        if any(alpha):
-            base = _k_left_mul(b, _neg_offset(alpha), base)
-        total = total + base.scale(c)
-    for c in total.terms.values():
-        b.check_element_scalar(c)
-    return total
+    return _extend_over_k(b, x, _antipode_inv_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -979,3 +882,7 @@ def drinfeld_cross(
                     key = (Y2, tuple(g - d for g, d in zip(gamma, delta)), X2)
                     out[key] = out[key] + scalar if key in out else scalar
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+# the backend behind hallalg.classical's partition-keyed Hopf functions
+CLASSICAL = ClassicalGeneric()

@@ -461,8 +461,12 @@ class RationalFunction:
             self.den = LaurentPoly.one()
             return
         nv, dv = num.valuation(), den.valuation()
-        n_h = num.shift(-nv)
         d_h = den.shift(-dv)
+        if d_h.is_one():  # num / t^dv is already reduced
+            self.num = num.shift(-dv)
+            self.den = d_h
+            return
+        n_h = num.shift(-nv)
         g = _poly_gcd(n_h, d_h)
         if not g.is_one():
             n_h = n_h.divexact(g)
@@ -796,3 +800,65 @@ def laurent_at_nu(p: LaurentPoly, q: int) -> QrtScalar:
     for e, c in p.items():
         out = out + QrtScalar.nu(q, e) * c
     return out
+
+
+# ---------------------------------------------------------------------------
+# linear combinations
+# ---------------------------------------------------------------------------
+
+
+class LinearCombination:
+    """Finite linear combination {key: coefficient} over one of the scalar
+    rings above; no zero coefficient is ever stored.
+
+    ``backend`` is the object the keys belong to (None where the keys are
+    self-describing, such as partitions). Combinations add and compare only
+    within one kind and over one backend. The constructor takes the backend
+    first and the terms last; subclasses with a different signature
+    override it.
+    """
+
+    __slots__ = ("backend", "terms")
+
+    def __init__(self, backend=None, terms: Optional[Dict] = None):
+        self.backend = backend
+        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
+
+    @classmethod
+    def zero(cls, *backend) -> "LinearCombination":
+        return cls(*backend)
+
+    def _like(self, terms: Dict) -> "LinearCombination":
+        """A combination of the same kind over the same backend. Its keys
+        come from existing terms, so a subclass's key checks are skipped."""
+        out = object.__new__(type(self))
+        out.backend = self.backend
+        out.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "LinearCombination") -> "LinearCombination":
+        if other.backend is not self.backend:
+            raise ValueError("elements live over different backends")
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out[key] + c if key in out else c
+        return self._like(out)
+
+    def __neg__(self) -> "LinearCombination":
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "LinearCombination") -> "LinearCombination":
+        return self + (-other)
+
+    def scale(self, c) -> "LinearCombination":
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and other.backend is self.backend
+            and self.terms == other.terms
+        )

@@ -172,6 +172,21 @@ def test_consistency_error_exit_code(monkeypatch):
     assert "orbit-stabilizer division failed" in err
 
 
+def test_inexact_classical_coproduct_exit_code(monkeypatch):
+    # a coproduct coefficient outside Z[t, t^-1] is an internal
+    # inconsistency (4), not a usage error (2)
+    from hallalg.engine import ClassicalGeneric
+
+    aut = ClassicalGeneric.aut
+    monkeypatch.setattr(
+        ClassicalGeneric, "aut", lambda b, la: aut(b, la) * (2 if la == (1, 1) else 1)
+    )
+    code, out, err = run(["comult", "--backend", "classical", "[1,1]"])
+    assert code == 4
+    assert out == ""
+    assert "classical backend" in err and "not a Laurent polynomial" in err
+
+
 def test_dominance_cross_check_exit_code(monkeypatch):
     # the check in transpose_dominance_leq is an error, not an assert, so it
     # survives python -O and reaches the CLI as exit code 4

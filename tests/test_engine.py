@@ -1,17 +1,16 @@
 """Hopf engine over both backends: products, coproducts, pairing, antipodes,
 Serre and Green residuals, Drinfeld cross-relation."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from hallalg.classical import (
-    antipode_generic,
-    comult_generic,
-    GenericHallElement,
-    green_pairing_generic,
-    mult_generic,
-)
+import hallalg
+from hallalg import engine
+from hallalg.classical import GenericHallElement, _view, ibasis_in_elementary, to_symfun
 from hallalg.engine import (
     ClassicalGeneric,
     HallElement,
@@ -40,7 +39,7 @@ from hallalg.exactnum import (
     balanced_qfactorial,
     laurent_at_nu,
 )
-from hallalg.partitions import all_partitions
+from hallalg.partitions import all_partitions, aut_poly, conjugate
 from hallalg.quiverrep import Quiver, rep_from_label
 
 
@@ -70,46 +69,109 @@ def dim21_labels(b, s1, s2, i12):
 
 
 # ---------------------------------------------------------------------------
-# classical backend agrees with the generic classical module
+# classical backend against independent oracles (the classical module's
+# generic functions run on this engine, so they are no oracle); the antipode
+# is checked against the closed route in test_antipode_closed_matches_recursion
 # ---------------------------------------------------------------------------
 
 
-def test_classical_engine_matches_generic_mult():
+def test_classical_engine_mult_matches_symfun():
+    # to_symfun is an injective algebra map, and SymFun products never call
+    # hall_poly
     b = ClassicalGeneric()
+    H = GenericHallElement
     for n1 in range(4):
         for n2 in range(4 - n1):
             for la in all_partitions(n1):
                 for mu in all_partitions(n2):
                     got = multiply(b, HallElement.basis(b, la), HallElement.basis(b, mu))
-                    want = mult_generic(
-                        GenericHallElement.basis(la), GenericHallElement.basis(mu)
-                    )
-                    assert {k[0]: v for k, v in got.terms.items()} == want.terms
+                    want = to_symfun(H.basis(la)) * to_symfun(H.basis(mu))
+                    assert to_symfun(_view(got)) == want, (la, mu)
 
 
-def test_classical_engine_matches_generic_comult_and_antipode():
+def test_classical_engine_comult_matches_columns():
+    # the column formula Delta([1^r]) = sum_k t^{-k(r-k)} [1^k] (x) [1^(r-k)]
+    # and Green's theorem (Delta multiplicative, trivial twist) give
+    # Delta([I_la]) = sum_kappa c_kappa prod_cols Delta([1^col]) from the
+    # expansion [I_la] = sum_kappa c_kappa X_kappa
+    b = ClassicalGeneric()
+    z = ()
+
+    def column_delta(r):
+        return TensorElement(
+            b,
+            {
+                (((1,) * k, z), ((1,) * (r - k), z)): LaurentPoly.monomial(-k * (r - k))
+                for k in range(r + 1)
+            },
+        )
+
+    for n in range(4):
+        for la, expr in ibasis_in_elementary(n).items():
+            want = TensorElement.zero(b)
+            for kappa, c in expr.items():
+                term = TensorElement(b, {(((), z), ((), z)): c})
+                for col in sorted(conjugate(kappa)):
+                    term = term.product(column_delta(col), twisted=False)
+                want = want + term
+            assert comultiply(b, HallElement.basis(b, la)) == want, la
+
+
+def test_classical_engine_pairing_diagonal():
     b = ClassicalGeneric()
     for n in range(4):
         for la in all_partitions(n):
-            x = HallElement.basis(b, la)
-            t = comultiply(b, x)
-            want = comult_generic(GenericHallElement.basis(la))
-            got = {(lk[0], rk[0]): c for (lk, rk), c in t.terms.items()}
-            assert got == want
-            s = antipode(b, x)
-            ws = antipode_generic(GenericHallElement.basis(la))
-            assert {k[0]: v for k, v in s.terms.items()} == ws.terms
+            for mu in all_partitions(n):
+                got = pairing(b, HallElement.basis(b, la), HallElement.basis(b, mu))
+                if la == mu:
+                    assert got == RationalFunction(LaurentPoly.one(), aut_poly(la))
+                else:
+                    assert got.is_zero()
 
 
-def test_classical_engine_pairing_matches_generic():
+def test_classical_classes_sorted_once_per_degree(monkeypatch):
+    calls = []
+    real_key = engine.dominance_key
+
+    def counting_key(la):
+        calls.append(la)
+        return real_key(la)
+
+    monkeypatch.setattr(engine, "dominance_key", counting_key)
     b = ClassicalGeneric()
-    for la in all_partitions(3):
-        for mu in all_partitions(3):
-            got = pairing(b, HallElement.basis(b, la), HallElement.basis(b, mu))
-            want = green_pairing_generic(
-                GenericHallElement.basis(la), GenericHallElement.basis(mu)
-            )
-            assert got == want
+    for n in (3, 4):
+        want = sorted(all_partitions(n), key=real_key)
+        for gamma in (n, (n,), [n]):
+            assert b.classes_of_dim(gamma) == want
+    # products of degree 4 list the degree-4 classes for every row
+    for la in all_partitions(2):
+        for mu in all_partitions(2):
+            multiply(b, HallElement.basis(b, la), HallElement.basis(b, mu))
+    assert len(calls) == len(all_partitions(3)) + len(all_partitions(4))
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("module", ["hallalg.classical", "hallalg.engine", "hallalg.cli"])
+def test_module_imports_alone(module, flags):
+    # classical and engine import each other; each must import first, in a
+    # fresh interpreter, and still reach the other at call time (no assert:
+    # -O would strip it)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hallalg.__file__)))
+    code = (
+        f"import {module}\n"
+        "from hallalg import classical\n"
+        "x = classical.GenericHallElement.basis((1,))\n"
+        "if not classical.mult_generic(x, x).coeff((2,)).is_one():\n"
+        "    raise SystemExit('wrong product')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

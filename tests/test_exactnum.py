@@ -158,6 +158,14 @@ def test_rational_function_reduction():
     r4 = RationalFunction(t + 1, L.from_int(2))
     assert not r4.is_laurent()
     assert r4.evaluate(3) == 2
+    # a power of t as denominator is already reduced: the stored form equals
+    # the one the gcd route reaches through a common factor
+    p = L({3: 2, 1: -1, 0: 4})
+    for k in (-2, 0, 3):
+        r5 = RationalFunction(p, L.monomial(k))
+        assert (r5.num, r5.den) == (p.shift(-k), L.one())
+        r6 = RationalFunction(p * (t + 2), L.monomial(k) * (t + 2))
+        assert (r6.num, r6.den) == (r5.num, r5.den)
 
 
 def test_rational_function_field_ops():
