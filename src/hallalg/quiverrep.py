@@ -3,17 +3,21 @@
 Enumerates and classifies representations (including nilpotent
 representations of cyclic quivers and of the one-loop Jordan backend),
 counts submodules, automorphisms, and Hom spaces. All counts are exact
-integers. numpy serves three brute-force kernels: point enumeration, orbit
-labelling, and the automorphism / isomorphism scan; each checks that its
-fixed-width intermediates stay inside their dtype for the given q and size.
+integers. numpy serves four brute-force kernels: point enumeration, orbit
+labelling, the automorphism / isomorphism scan, and the submodule stability
+test with its sub / quotient matrices. The first three check that their
+fixed-width intermediates stay inside their dtype for the given q and size;
+the submodule kernel switches to Python-int arrays where int64 would not
+hold them.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,45 +283,6 @@ def _nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> List[Tuple[
             v[pcol] = (-red[i][fcol]) % p
         basis.append(tuple(v))
     return basis
-
-
-def _reduce_against(v: Tuple[int, ...], rows: Mat, pivots: Tuple[int, ...], p: int) -> Tuple[int, ...]:
-    w = list(v)
-    for row, c in zip(rows, pivots):
-        f = w[c] % p
-        if f:
-            for j in range(len(w)):
-                w[j] = (w[j] - f * row[j]) % p
-    return tuple(w)
-
-
-def _coords_in_rref(v: Tuple[int, ...], rows: Mat, pivots: Tuple[int, ...], p: int) -> Tuple[int, ...]:
-    """Coordinates of v in the RREF row basis; raises if v is outside."""
-    coords = tuple(v[c] % p for c in pivots)
-    if any(_reduce_against(v, rows, pivots, p)):
-        raise ValueError("vector not inside the subspace")
-    return coords
-
-
-def _subspaces(d: int, k: int, p: int) -> Iterator[Tuple[Mat, Tuple[int, ...]]]:
-    """All k-dimensional subspaces of F_p^d as RREF row bases, deterministic."""
-    if k == 0:
-        yield ((), ())
-        return
-    for pivots in itertools.combinations(range(d), k):
-        free_pos = [
-            (i, j)
-            for i in range(k)
-            for j in range(d)
-            if j > pivots[i] and j not in pivots
-        ]
-        for vals in itertools.product(range(p), repeat=len(free_pos)):
-            rows = [[0] * d for _ in range(k)]
-            for i in range(k):
-                rows[i][pivots[i]] = 1
-            for (i, j), val in zip(free_pos, vals):
-                rows[i][j] = val
-            yield tuple(tuple(r) for r in rows), tuple(pivots)
 
 
 def subspace_count(d: int, k: int, p: int) -> int:
@@ -760,6 +725,10 @@ def jordan_type(M: QuiverRep) -> Partition:
     while ranks[-1] > 0:
         power = _matmul(x, power, p)
         ranks.append(_rank(power, d, p))
+        if ranks[-1] == ranks[-2]:
+            raise ConsistencyError(
+                f"jordan_type at dimension vector {M.dims}, q={p}: the loop matrix is not nilpotent"
+            )
     conj = []
     for k in range(1, len(ranks)):
         drop = ranks[k - 1] - ranks[k]
@@ -1201,48 +1170,48 @@ def rep_from_label(Q: Quiver, q: int, label) -> QuiverRep:
 # ---------------------------------------------------------------------------
 
 
-def _sub_and_quotient(
-    R: QuiverRep,
-    selection: Tuple[Tuple[Mat, Tuple[int, ...]], ...],
-) -> Optional[Tuple[QuiverRep, QuiverRep]]:
-    """For a vertex-wise subspace selection, return (sub rep, quotient rep)
-    if the selection is arrow-stable, else None."""
-    p = R.q
-    Q = R.quiver
-    eff = Q.effective_arrows()
-    sub_dims = tuple(len(rows) for rows, _ in selection)
-    quo_dims = tuple(d - k for d, k in zip(R.dims, sub_dims))
-    nonpivots = []
-    for v in range(Q.n):
-        _, pivots = selection[v]
-        nonpivots.append([j for j in range(R.dims[v]) if j not in pivots])
-    sub_mats = []
-    quo_mats = []
-    for (s, t), x in zip(eff, R.mats):
-        rows_s, piv_s = selection[s]
-        rows_t, piv_t = selection[t]
-        # stability and sub matrix
-        sm = [[0] * sub_dims[s] for _ in range(sub_dims[t])]
-        for j, basis_vec in enumerate(rows_s):
-            img = _mat_vec(x, basis_vec, p)
-            resid = _reduce_against(img, rows_t, piv_t, p)
-            if any(resid):
-                return None
-            for i, c in enumerate(piv_t):
-                sm[i][j] = img[c] % p
-        sub_mats.append(tuple(tuple(r) for r in sm))
-        # quotient matrix on non-pivot coordinates
-        qm = [[0] * quo_dims[s] for _ in range(quo_dims[t])]
-        for j, col in enumerate(nonpivots[s]):
-            e = tuple(1 if k == col else 0 for k in range(R.dims[s]))
-            img = _mat_vec(x, e, p)
-            resid = _reduce_against(img, rows_t, piv_t, p)
-            for i, c in enumerate(nonpivots[t]):
-                qm[i][j] = resid[c] % p
-        quo_mats.append(tuple(tuple(r) for r in qm))
-    sub = _unvalidated_rep(Q, p, sub_dims, tuple(sub_mats))
-    quo = _unvalidated_rep(Q, p, quo_dims, tuple(quo_mats))
-    return sub, quo
+def _subspace_arrays(d: int, k: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Every k-dimensional subspace of F_p^d as its RREF row basis:
+    (bases (S, k, d) in `dtype`, columns (S, d): the k pivot columns, then
+    the others), S = [d choose k]_p. Pivot patterns run in lexicographic
+    order; within one, the free entries (row-major) count up in base p,
+    the first one most significant."""
+    bases, orders, counts = [], [], []
+    for piv in itertools.combinations(range(d), k):
+        free = [(i, j) for i in range(k) for j in range(piv[i] + 1, d) if j not in piv]
+        count = p ** len(free)
+        block = np.zeros((count, k, d), dtype=dtype)
+        block[:, range(k), piv] = 1
+        if free:
+            rows, cols = zip(*free)
+            block[:, rows, cols] = _coeff_digit_block(0, count, len(free), p).astype(dtype)
+        bases.append(block)
+        orders.append(piv + tuple(j for j in range(d) if j not in piv))
+        counts.append(count)
+    return np.concatenate(bases), np.repeat(np.array(orders, dtype=np.intp), counts, axis=0)
+
+
+def _vertex_subspaces(d: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All subspaces of F_p^d, dimension 0 to d in turn: (E (S, d, d), the
+    matrix whose row c_i is the i-th RREF basis row, c_i the i-th pivot,
+    and whose other rows are zero, so that v - vE reduces v against the
+    subspace; the columns in pivot-first order (S, d); the dimensions (S,))."""
+    mats, orders, kdims = [], [], []
+    for k in range(d + 1):
+        basis, order = _subspace_arrays(d, k, p, dtype)
+        e = np.zeros((len(basis), d, d), dtype=dtype)
+        e[np.arange(len(basis))[:, None], order[:, :k]] = basis
+        mats.append(e)
+        orders.append(order)
+        kdims.append(np.full(len(basis), k))
+    return np.concatenate(mats), np.concatenate(orders), np.concatenate(kdims)
+
+
+def _submodule_dtype(dims: Sequence[int], p: int):
+    """Array dtype of submodule_type_table at these dimensions: before
+    reduction its products reach max(d) (p-1)^2, so int64 while that fits
+    and Python ints (object arrays) past it."""
+    return np.int64 if max(dims) * (p - 1) ** 2 <= np.iinfo(np.int64).max else object
 
 
 # rep -> (subspace tuples scanned, table)
@@ -1253,7 +1222,17 @@ def submodule_type_table(
     R: QuiverRep, budget: Optional[int] = None
 ) -> Dict[Tuple[object, object], int]:
     """Counts of stable subspaces of R bucketed by (quotient label, sub
-    label); one enumeration serves every (M, N) query against this R."""
+    label); one enumeration serves every (M, N) query against this R.
+
+    Each subspace U_v of vertex v is held as its matrix E_v
+    (_vertex_subspaces). For an arrow X : s -> t the rows of I = E_s X^T
+    are the images of U_s's basis, and I E_t rebuilds them from their
+    coordinates at U_t's pivots, so X U_s lies in U_t iff I E_t = I mod p:
+    a table over all (U_s, U_t), or its diagonal for a loop. The subspace
+    tuples run in itertools.product order; for those stable under every
+    arrow, the sub matrix is I read at (U_s pivots, U_t pivots) and the
+    quotient matrix X^T (1 - E_t), X's columns reduced against U_t, read at
+    (U_s non-pivots, U_t non-pivots), both transposed."""
     budget_val = DEFAULT_BUDGET if budget is None else budget
     p = R.q
     hit = _SUBMODULE_TABLE_CACHE.get(R)
@@ -1264,17 +1243,58 @@ def submodule_type_table(
     for d in R.dims:
         total_tuples *= sum(subspace_count(d, k, p) for k in range(d + 1))
     _require_budget("submodule_type_table", total_tuples, budget_val, R.dims, p, "subspace tuples")
-    per_vertex = [
-        [sub for k in range(d + 1) for sub in _subspaces(d, k, p)] for d in R.dims
-    ]
+    Q, dims = R.quiver, R.dims
+    eff = Q.effective_arrows()
+    dtype = _submodule_dtype(dims, p)
+    # every array below has at most `step` rows of at most max(d)^2 entries
+    step = max(1, _CHUNK // max(1, max(dims)) ** 2)
+    by_dim = {d: _vertex_subspaces(d, p, dtype) for d in set(dims)}
+    subs, orders, kdims = zip(*(by_dim[d] for d in dims))
+    xts = [np.array(x, dtype=dtype).reshape(dims[t], dims[s]).T for (s, t), x in zip(eff, R.mats)]
+    tables = []
+    for (s, t), xt in zip(eff, xts):
+        shape = (len(subs[s]),) if s == t else (len(subs[s]), len(subs[t]))
+        ok = np.empty(math.prod(shape), dtype=bool)
+        for start in range(0, len(ok), step):
+            pairs = np.arange(start, min(start + step, len(ok)))
+            i_s, i_t = (pairs, pairs) if s == t else np.unravel_index(pairs, shape)
+            img = (subs[s][i_s] @ xt) % p
+            ok[pairs] = ((img @ subs[t][i_t]) % p == img).all(axis=(1, 2))
+        tables.append(ok.reshape(shape))
     table: Dict[Tuple[object, object], int] = {}
-    for selection in itertools.product(*per_vertex):
-        sq = _sub_and_quotient(R, selection)
-        if sq is None:
+    for start in range(0, total_tuples, step):
+        idx = np.unravel_index(
+            np.arange(start, min(start + step, total_tuples)), [len(e) for e in subs]
+        )
+        ok = np.ones(len(idx[0]), dtype=bool)
+        for (s, t), stable in zip(eff, tables):
+            ok &= stable[idx[s]] if s == t else stable[idx[s], idx[t]]
+        if not ok.any():
             continue
-        sub, quo = sq
-        key = (classify_rep(quo, budget=budget_val), classify_rep(sub, budget=budget_val))
-        table[key] = table.get(key, 0) + 1
+        idx = [i[ok] for i in idx]
+        blocks = []
+        for (s, t), xt in zip(eff, xts):
+            e_s, e_t = subs[s][idx[s]], subs[t][idx[t]]
+            img = (e_s @ xt) % p
+            red = (xt - (xt @ e_t) % p) % p
+            # rows at U_s's pivots (E_s's diagonal 1s) from I, the others
+            # from X^T (1 - E_t); with rows and columns put pivot-first and
+            # transposed, the sub matrix is the top left k_t x k_s corner and
+            # the quotient matrix the bottom right one
+            both = np.where(np.diagonal(e_s, axis1=1, axis2=2)[:, :, None] == 1, img, red)
+            rows, cols = orders[s][idx[s]][:, :, None], orders[t][idx[t]][:, None, :]
+            both = both[np.arange(len(both))[:, None, None], rows, cols]
+            blocks.append(both.transpose(0, 2, 1).tolist())
+        sub_dims = np.stack([k[i] for k, i in zip(kdims, idx)], axis=1).tolist()
+        for r, ks in enumerate(sub_dims):
+            sub, quo = [], []
+            for (s, t), m in zip(eff, blocks):
+                sub.append(tuple(tuple(row[: ks[s]]) for row in m[r][: ks[t]]))
+                quo.append(tuple(tuple(row[ks[s] :]) for row in m[r][ks[t] :]))
+            sub_rep = _unvalidated_rep(Q, p, tuple(ks), tuple(sub))
+            quo_rep = _unvalidated_rep(Q, p, tuple(d - k for d, k in zip(dims, ks)), tuple(quo))
+            key = (classify_rep(quo_rep, budget=budget_val), classify_rep(sub_rep, budget=budget_val))
+            table[key] = table.get(key, 0) + 1
     _SUBMODULE_TABLE_CACHE[R] = (total_tuples, table)
     return table
 

@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hallalg.exactnum import BudgetError, gauss_binomial
+from hallalg.classical import hall_poly
+from hallalg.exactnum import BudgetError, ConsistencyError, gauss_binomial
 from hallalg.partitions import all_partitions, aut_poly
 from hallalg.quiverrep import (
     Quiver,
@@ -19,8 +20,10 @@ from hallalg.quiverrep import (
     _gl_generators,
     _invert_mat,
     _matmul,
+    _mat_vec,
     _space_size,
-    _subspaces,
+    _subspace_arrays,
+    _submodule_dtype,
     _unvalidated_rep,
     aut_count,
     classify_rep,
@@ -40,10 +43,96 @@ from hallalg.quiverrep import (
     quiver_has_cycle,
     rep_from_label,
     simple_rep,
+    subspace_count,
     submodule_type_table,
     sym_form_add,
     zero_rep,
 )
+
+
+def _subspaces(d, k, p):
+    """Reference subspace enumeration: all k-dimensional subspaces of F_p^d
+    as RREF row bases with their pivot columns, pivot patterns in
+    lexicographic order, free entries counting up in base p."""
+    if k == 0:
+        yield ((), ())
+        return
+    for pivots in itertools.combinations(range(d), k):
+        free_pos = [
+            (i, j)
+            for i in range(k)
+            for j in range(d)
+            if j > pivots[i] and j not in pivots
+        ]
+        for vals in itertools.product(range(p), repeat=len(free_pos)):
+            rows = [[0] * d for _ in range(k)]
+            for i in range(k):
+                rows[i][pivots[i]] = 1
+            for (i, j), val in zip(free_pos, vals):
+                rows[i][j] = val
+            yield tuple(tuple(r) for r in rows), tuple(pivots)
+
+
+def _reduce_against(v, rows, pivots, p):
+    w = list(v)
+    for row, c in zip(rows, pivots):
+        f = w[c] % p
+        if f:
+            for j in range(len(w)):
+                w[j] = (w[j] - f * row[j]) % p
+    return tuple(w)
+
+
+def _sub_and_quotient(R, selection):
+    """(sub rep, quotient rep) of a vertexwise subspace selection if it is
+    arrow-stable, else None; one vector at a time over Python tuples."""
+    p = R.q
+    Q = R.quiver
+    sub_dims = tuple(len(rows) for rows, _ in selection)
+    quo_dims = tuple(d - k for d, k in zip(R.dims, sub_dims))
+    nonpivots = [
+        [j for j in range(R.dims[v]) if j not in selection[v][1]] for v in range(Q.n)
+    ]
+    sub_mats = []
+    quo_mats = []
+    for (s, t), x in zip(Q.effective_arrows(), R.mats):
+        rows_s, _ = selection[s]
+        rows_t, piv_t = selection[t]
+        sm = [[0] * sub_dims[s] for _ in range(sub_dims[t])]
+        for j, basis_vec in enumerate(rows_s):
+            img = _mat_vec(x, basis_vec, p)
+            if any(_reduce_against(img, rows_t, piv_t, p)):
+                return None
+            for i, c in enumerate(piv_t):
+                sm[i][j] = img[c] % p
+        sub_mats.append(tuple(tuple(r) for r in sm))
+        qm = [[0] * quo_dims[s] for _ in range(quo_dims[t])]
+        for j, col in enumerate(nonpivots[s]):
+            e = tuple(1 if k == col else 0 for k in range(R.dims[s]))
+            resid = _reduce_against(_mat_vec(x, e, p), rows_t, piv_t, p)
+            for i, c in enumerate(nonpivots[t]):
+                qm[i][j] = resid[c] % p
+        quo_mats.append(tuple(tuple(r) for r in qm))
+    sub = _unvalidated_rep(Q, p, sub_dims, tuple(sub_mats))
+    quo = _unvalidated_rep(Q, p, quo_dims, tuple(quo_mats))
+    return sub, quo
+
+
+def _submodule_table_brute(R):
+    """Reference submodule table: every tuple of vertexwise subspaces in
+    itertools.product order, tested and split one tuple at a time."""
+    per_vertex = [
+        [sub for k in range(d + 1) for sub in _subspaces(d, k, R.q)] for d in R.dims
+    ]
+    table = {}
+    for selection in itertools.product(*per_vertex):
+        sq = _sub_and_quotient(R, selection)
+        if sq is None:
+            continue
+        sub, quo = sq
+        key = (classify_rep(quo, budget=3 ** 16), classify_rep(sub, budget=3 ** 16))
+        table[key] = table.get(key, 0) + 1
+    return table
 
 
 def a2_rep_i12(q):
@@ -103,9 +192,23 @@ def test_subspace_enumeration_counts():
     for p in (2, 3):
         for d in range(5):
             for k in range(d + 1):
-                subs = list(_subspaces(d, k, p))
-                assert len(subs) == int(gauss_binomial(d, k).evaluate(p))
-                assert len(set(subs)) == len(subs)
+                basis, order = _subspace_arrays(d, k, p, np.int64)
+                assert basis.shape == (int(gauss_binomial(d, k).evaluate(p)), k, d)
+                assert len(np.unique(basis.reshape(len(basis), -1), axis=0)) == len(basis)
+                assert sorted(order[0].tolist()) == list(range(d))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subspace_arrays_match_reference(p):
+    # the numpy generator yields the reference RREF bases and pivots, in order
+    for d in range(6):
+        for k in range(d + 1):
+            basis, order = _subspace_arrays(d, k, p, np.int64)
+            got = [
+                (tuple(map(tuple, b)), tuple(o[:k])) for b, o in zip(basis.tolist(), order.tolist())
+            ]
+            assert got == list(_subspaces(d, k, p)), (d, k)
+            assert all(sorted(o) == list(range(d)) for o in order.tolist())
 
 
 def test_rep_validation_and_nilpotency():
@@ -308,6 +411,9 @@ def test_classify_jordan():
     # direct sums classify to merged partitions
     r = direct_sum(jordan_rep((2,), 2), jordan_rep((2, 1), 2))
     assert classify_rep(r) == (2, 2, 1)
+    # a loop matrix that is not nilpotent fails instead of looping forever
+    with pytest.raises(ConsistencyError, match="not nilpotent"):
+        jordan_type(_unvalidated_rep(Quiver.jordan_quiver(), 3, (2,), ((((1, 0), (0, 0))),)))
 
 
 def test_count_submodules_goldens():
@@ -326,22 +432,61 @@ def test_count_submodules_goldens():
 
 
 def test_submodule_table_totals():
-    # every stable subspace is bucketed: totals match a direct stability scan
-    for la in ((1, 1), (2,), (2, 1)):
-        for q in (2, 3):
-            r = jordan_rep(la, q)
-            table = submodule_type_table(r)
-            total = sum(table.values())
-            # unique chain of invariant subspaces exists in all cases; compare
-            # against hall polynomial style identity: sum over pairs of counts
-            direct = 0
-            for (mlab, nlab), cnt in table.items():
-                assert cnt > 0
-                direct += cnt
-            assert direct == total
-            # zero and full subspace always stable
-            assert table[((), la)] == 1
-            assert table[(la, ())] == 1
+    # the invariant subspaces of a type-la module number the sum of all
+    # Hall polynomials P^la_{mu,nu} at t = q, an independent count
+    for q in (2, 3):
+        for n in range(5):
+            for la in all_partitions(n):
+                table = submodule_type_table(jordan_rep(la, q))
+                expect = sum(
+                    hall_poly(la, mu, nu).evaluate(q)
+                    for k in range(n + 1)
+                    for mu in all_partitions(n - k)
+                    for nu in all_partitions(k)
+                )
+                assert sum(table.values()) == expect, (la, q)
+                assert table[((), la)] == 1
+                assert table[(la, ())] == 1
+
+
+def _submodule_cases():
+    cases = [
+        (f"jordan{la},q={q}", jordan_rep(la, q))
+        for q, nmax in ((2, 6), (3, 4), (5, 3))
+        for n in range(nmax + 1)
+        for la in all_partitions(n)
+    ]
+    cases += [
+        (f"kronecker{d},q=2,#{i}", rep)
+        for d in ((2, 3),)
+        for i, (_, rep, _) in enumerate(enumerate_iso_classes(Quiver.kronecker(), 2, d))
+    ]
+    for Q, name, q in ((Quiver.a2(), "a2", 3), (Quiver.cyclic(3), "cyclic3", 2)):
+        for total in range(5):
+            for d in _dim_vectors(Q.n, total):
+                for i, (_, rep, _) in enumerate(enumerate_iso_classes(Q, q, d)):
+                    cases.append((f"{name}{d},q={q},#{i}", rep))
+    return cases
+
+
+def test_submodule_table_matches_brute():
+    # the numpy kernel gives the per-tuple reference's table, keys and counts
+    for name, rep in _submodule_cases():
+        assert submodule_type_table(rep, budget=3 ** 16) == _submodule_table_brute(rep), name
+
+
+def test_submodule_table_past_int64():
+    # (p-1)^2 > 2^63: the kernel runs on Python ints rather than refusing
+    p = 4294967311  # the least prime above 2^32
+    assert _submodule_dtype((1,), p) is object
+    assert submodule_type_table(jordan_rep((1,), p)) == {((1,), ()): 1, ((), (1,)): 1}
+    # at d = 2 a budget of p + 3 tuples admits the scan, which also takes
+    # Python ints (too many tuples to run here)
+    assert sum(subspace_count(2, k, p) for k in range(3)) == p + 3
+    assert _submodule_dtype((2,), p) is object
+    # the int64 bound max(d) (p-1)^2 at the Mersenne prime 2^31 - 1
+    assert _submodule_dtype((0, 2), 2 ** 31 - 1) is np.int64
+    assert _submodule_dtype((3, 1), 2 ** 31 - 1) is object
 
 
 def test_hereditary_euler_identity():
