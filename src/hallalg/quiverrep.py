@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactnum import BudgetError, ConsistencyError, gauss_binomial, is_prime
+from .exactnum import BudgetError, ConsistencyError, is_prime
 from .partitions import Partition, as_partition, dominance_key
 
 Mat = Tuple[Tuple[int, ...], ...]
@@ -286,8 +286,15 @@ def _nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> List[Tuple[
 
 
 def subspace_count(d: int, k: int, p: int) -> int:
-    v = gauss_binomial(d, k).evaluate(p)
-    return int(v)
+    """Number of k-dimensional subspaces of F_p^d: the Gaussian binomial
+    [d choose k] at p, by the integer recurrence
+    [d, i+1] = [d, i] (p^(d-i) - 1) / (p^(i+1) - 1), each step exact."""
+    if d < 0:
+        raise ValueError("subspace_count needs d >= 0")
+    out = 1 if 0 <= k <= d else 0
+    for i in range(k if out else 0):
+        out = out * (p ** (d - i) - 1) // (p ** (i + 1) - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

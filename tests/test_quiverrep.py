@@ -194,6 +194,7 @@ def test_subspace_enumeration_counts():
             for k in range(d + 1):
                 basis, order = _subspace_arrays(d, k, p, np.int64)
                 assert basis.shape == (int(gauss_binomial(d, k).evaluate(p)), k, d)
+                assert subspace_count(d, k, p) == len(basis)
                 assert len(np.unique(basis.reshape(len(basis), -1), axis=0)) == len(basis)
 
 
@@ -484,6 +485,7 @@ def test_submodule_table_past_int64():
     # Python ints (too many tuples to run here)
     assert sum(subspace_count(2, k, p) for k in range(3)) == p + 3
     assert _submodule_dtype((2,), p) is object
+    assert subspace_count(3, 2, p) == int(gauss_binomial(3, 2).evaluate(p))
     # the int64 bound max(d) (p-1)^2 at the Mersenne prime 2^31 - 1
     assert _submodule_dtype((0, 2), 2 ** 31 - 1) is np.int64
     assert _submodule_dtype((3, 1), 2 ** 31 - 1) is object
