@@ -7,6 +7,7 @@ Everything here is exact. No floats anywhere.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -591,71 +592,104 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _is_qpower_denominator(x: Fraction, q: int) -> bool:
-    d = x.denominator
-    while d % q == 0:
-        d //= q
-    return d == 1
+def _require_prime(q: int) -> None:
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, as "n" or "n/d"."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 class QrtScalar:
-    """Element a + b*sqrt(q) of Q(sqrt q), q a fixed prime.
+    """Element (n + m*sqrt(q))/d of Q(sqrt q), q a fixed prime.
 
-    sqrt(q) is irrational for prime q, so representation is unique and
-    equality is coefficientwise.
+    The parts n, m, d are Python ints with d > 0 and gcd(n, m, d) == 1, so
+    zero is (0, 0, 1). sqrt(q) is irrational for prime q, so this form is
+    unique and equality is partwise. The arithmetic is integer-only: it
+    forms an integer triple and divides out its gcd, a step skipped when
+    d == 1, the common case (Hall numbers, aut orders and q-powers).
 
-    The constructor validates q and coerces both parts to Fraction; the
-    arithmetic builds its results with _qrt, which skips both because its
-    operands were already checked.
+    The constructor validates q and takes rational parts a, b for the value
+    a + b*sqrt(q); the properties .a and .b give them back as Fractions.
+    The arithmetic builds its results with _qrt, which skips the
+    validation because its operands were already checked.
     """
 
-    __slots__ = ("q", "a", "b")
+    __slots__ = ("q", "_n", "_m", "_d")
 
     def __init__(self, q: int, a=0, b=0):
-        if not is_prime(q):
-            raise ValueError(f"q must be prime, got {q}")
+        _require_prime(q)
         self.q = q
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        if type(a) is int and type(b) is int:
+            self._n, self._m, self._d = a, b, 1
+            return
+        # Fraction accepts numpy integers and keeps them as numerators, so
+        # int() makes every part a Python int that cannot wrap around.
+        a, b = Fraction(a), Fraction(b)
+        an, ad = int(a.numerator), int(a.denominator)
+        bn, bd = int(b.numerator), int(b.denominator)
+        # both parts are in lowest terms, so over their lcm gcd(n, m, d) == 1
+        d = ad * bd // math.gcd(ad, bd)
+        self._n, self._m, self._d = an * (d // ad), bn * (d // bd), d
 
     @classmethod
     def nu(cls, q: int, k: int = 1) -> "QrtScalar":
         """nu^k where nu = +sqrt(q)."""
-        m, r = divmod(k, 2)
-        base = Fraction(q) ** m
-        if r == 0:
-            return cls(q, base, 0)
-        return cls(q, 0, base)
+        _require_prime(q)
+        j, r = divmod(k, 2)
+        num, den = (q**j, 1) if j >= 0 else (1, q ** (-j))
+        return _qrt(q, num, 0, den) if r == 0 else _qrt(q, 0, num, den)
 
     @classmethod
     def from_fraction(cls, q: int, x) -> "QrtScalar":
-        return cls(q, Fraction(x), 0)
+        return cls(q, x)
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._n, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(q)."""
+        return Fraction(self._m, self._d)
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self._n and not self._m
 
     def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0
+        return self._n == 1 and not self._m and self._d == 1
 
     def _coerce(self, other):
         if isinstance(other, QrtScalar):
             if other.q != self.q:
                 raise ValueError("mixing scalars over different q")
             return other
-        if isinstance(other, (int, Fraction)):
-            return _qrt(self.q, Fraction(other), _FRACTION_ZERO)
+        if isinstance(other, int):
+            return _qrt(self.q, int(other), 0, 1)
+        if isinstance(other, Fraction):
+            return _qrt(self.q, int(other.numerator), 0, int(other.denominator))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _qrt(self.q, self.a + o.a, self.b + o.b)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _qrt_reduced(self.q, self._n + o._n, self._m + o._m, d1)
+        return _qrt_reduced(
+            self.q, self._n * d2 + o._n * d1, self._m * d2 + o._m * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _qrt(self.q, -self.a, -self.b)
+        return _qrt(self.q, -self._n, -self._m, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -670,22 +704,29 @@ class QrtScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.a, self.b, o.a, o.b
+        n1, m1, n2, m2 = self._n, self._m, o._n, o._m
         # most factors are rational (structure constants, aut orders)
-        if not d:
-            return _qrt(self.q, a * c, b * c if b else b)
-        if not b:
-            return _qrt(self.q, a * c, a * d)
-        return _qrt(self.q, a * c + b * d * self.q, a * d + b * c)
+        if not m2:
+            n, m = n1 * n2, m1 * n2
+        elif not m1:
+            n, m = n1 * n2, n1 * m2
+        else:
+            n, m = n1 * n2 + m1 * m2 * self.q, n1 * m2 + m1 * n2
+        return _qrt_reduced(self.q, n, m, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QrtScalar":
-        n = self.a * self.a - self.b * self.b * self.q
-        if n == 0:
-            # a^2 = b^2 q with q prime forces a = b = 0
+        n, m, d = self._n, self._m, self._d
+        norm = n * n - m * m * self.q
+        if norm == 0:
+            # n^2 = m^2 q with q prime forces n = m = 0
             raise ZeroDivisionError("inverse of zero")
-        return _qrt(self.q, self.a / n, -self.b / n)
+        # d / (n + m sqrt q) = d (n - m sqrt q) / norm, with the sign of the
+        # norm moved into the numerators so the denominator stays positive
+        if norm < 0:
+            return _qrt_reduced(self.q, -d * n, d * m, -norm)
+        return _qrt_reduced(self.q, d * n, -d * m, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -702,7 +743,7 @@ class QrtScalar:
     def __pow__(self, n: int) -> "QrtScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        out = _qrt(self.q, Fraction(1), _FRACTION_ZERO)
+        out = _qrt(self.q, 1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -715,43 +756,46 @@ class QrtScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self._n == o._n and self._m == o._m and self._d == o._d
 
     def __hash__(self) -> int:
-        return hash((self.q, self.a, self.b))
+        return hash((self.q, self._n, self._m, self._d))
 
     def has_qpower_denominator(self) -> bool:
-        return _is_qpower_denominator(self.a, self.q) and _is_qpower_denominator(
-            self.b, self.q
-        )
+        # d is the lcm of the reduced denominators of both parts
+        d = self._d
+        while d % self.q == 0:
+            d //= self.q
+        return d == 1
 
     def as_signed_nu_power(self) -> Optional[Tuple[int, int]]:
         """Return (sign, k) if self == sign * nu^k, else None."""
-        for part, parity in ((self.a, 0), (self.b, 1)):
-            other = self.b if parity == 0 else self.a
-            if part == 0 or other != 0:
-                continue
-            mag = abs(part)
-            # mag must be q^m for some integer m
-            num, den = mag.numerator, mag.denominator
-            m = 0
-            if den == 1:
-                while num % self.q == 0:
-                    num //= self.q
-                    m += 1
-                if num != 1:
-                    return None
-            else:
-                if num != 1:
-                    return None
-                while den % self.q == 0:
-                    den //= self.q
-                    m -= 1
-                if den != 1:
-                    return None
-            sign = 1 if part > 0 else -1
-            return (sign, 2 * m + parity)
-        return None
+        n, m, den = self._n, self._m, self._d
+        if n and not m:
+            part, parity = n, 0
+        elif m and not n:
+            part, parity = m, 1
+        else:
+            return None
+        # the part is in lowest terms, so |part|/den = q^j needs one side 1
+        num = abs(part)
+        j = 0
+        if den == 1:
+            while num % self.q == 0:
+                num //= self.q
+                j += 1
+            if num != 1:
+                return None
+        else:
+            if num != 1:
+                return None
+            while den % self.q == 0:
+                den //= self.q
+                j -= 1
+            if den != 1:
+                return None
+        sign = 1 if part > 0 else -1
+        return (sign, 2 * j + parity)
 
     def render(self) -> str:
         sp = self.as_signed_nu_power()
@@ -763,35 +807,44 @@ class QrtScalar:
             if k == 1:
                 return s + "v"
             return f"{s}v^{k}"
-        def frac(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-        if self.b == 0:
-            return frac(self.a)
-        if self.a == 0:
-            return f"{frac(self.b)}*v" if abs(self.b) != 1 else ("v" if self.b > 0 else "-v")
-        bs = f"{frac(abs(self.b))}*v" if abs(self.b) != 1 else "v"
-        op = "+" if self.b > 0 else "-"
-        return f"({frac(self.a)} {op} {bs})"
+        n, m, d = self._n, self._m, self._d
+        if m == 0:
+            return _ratio_str(n, d)
+        if n == 0:
+            return f"{_ratio_str(m, d)}*v" if abs(m) != d else ("v" if m > 0 else "-v")
+        bs = f"{_ratio_str(abs(m), d)}*v" if abs(m) != d else "v"
+        op = "+" if m > 0 else "-"
+        return f"({_ratio_str(n, d)} {op} {bs})"
 
     def __repr__(self) -> str:
         return f"QrtScalar(q={self.q}, {self.render()})"
 
     def to_json(self) -> Dict[str, str]:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-        return {"q": str(self.q), "rational_part": frac(self.a), "root_part": frac(self.b)}
+        return {
+            "q": str(self.q),
+            "rational_part": _ratio_str(self._n, self._d),
+            "root_part": _ratio_str(self._m, self._d),
+        }
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
-def _qrt(q: int, a: Fraction, b: Fraction) -> QrtScalar:
-    """QrtScalar from a prime q and Fraction parts, without re-validating."""
+def _qrt(q: int, n: int, m: int, d: int) -> QrtScalar:
+    """QrtScalar (n + m*sqrt(q))/d from a prime q and int parts already in
+    canonical form (d > 0, gcd(n, m, d) == 1), without re-validating."""
     x = object.__new__(QrtScalar)
     x.q = q
-    x.a = a
-    x.b = b
+    x._n = n
+    x._m = m
+    x._d = d
     return x
+
+
+def _qrt_reduced(q: int, n: int, m: int, d: int) -> QrtScalar:
+    """_qrt after dividing out gcd(n, m, d); d must be positive."""
+    if d != 1:
+        g = math.gcd(n, m, d)
+        if g != 1:
+            n, m, d = n // g, m // g, d // g
+    return _qrt(q, n, m, d)
 
 
 def laurent_at_nu(p: LaurentPoly, q: int) -> QrtScalar:

@@ -3,10 +3,13 @@ Serre and Green residuals, Drinfeld cross-relation."""
 
 import os
 import random
+from fractions import Fraction
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hallalg
 from hallalg import engine
@@ -33,6 +36,7 @@ from hallalg.engine import (
 )
 from hallalg.exactnum import (
     BudgetError,
+    ConsistencyError,
     LaurentPoly,
     QrtScalar,
     RationalFunction,
@@ -517,9 +521,8 @@ def test_antipode_classical_goldens():
     assert got == HallElement(b, {((2,), ()): tinv, ((1, 1), ()): tinv})
 
 
-def _convolution_check(b, lab, left_side):
-    """m(S (x) 1)Delta([lab]) or m(1 (x) S)Delta([lab]) equals eps."""
-    x = HallElement.basis(b, lab)
+def _convolution(b, x, left_side):
+    """m(S (x) 1)Delta(x) or m(1 (x) S)Delta(x)."""
     t = comultiply(b, x)
     acc = HallElement.zero(b)
     for (lk, rk), c in t.terms.items():
@@ -530,6 +533,12 @@ def _convolution_check(b, lab, left_side):
         else:
             prod = multiply(b, lelem, antipode(b, relem))
         acc = acc + prod.scale(c)
+    return acc
+
+
+def _convolution_check(b, lab, left_side):
+    """m(S (x) 1)Delta([lab]) or m(1 (x) S)Delta([lab]) equals eps."""
+    acc = _convolution(b, HallElement.basis(b, lab), left_side)
     want = HallElement.one(b) if lab == b.zero_label() else HallElement.zero(b)
     assert acc == want
 
@@ -814,3 +823,79 @@ def test_label_string_roundtrip():
             assert b.parse_label(b.label_string(lab)) == lab
     bc = ClassicalGeneric()
     assert bc.parse_label(bc.label_string((2, 1))) == (2, 1)
+
+
+def test_check_element_scalar_rejects_non_qpower_denominator():
+    b = QuiverAtQ(Quiver.a2(), 3)
+    b.check_element_scalar(QrtScalar(3, Fraction(2, 9), Fraction(-1, 3)))
+    with pytest.raises(ConsistencyError):
+        b.check_element_scalar(QrtScalar(3, Fraction(1, 2)))
+    with pytest.raises(ConsistencyError):
+        b.check_element_scalar(QrtScalar(3, 1, Fraction(1, 6)))
+
+
+# ---------------------------------------------------------------------------
+# Hopf axioms on random small k-free quiver elements at q=2; every
+# coefficient goes through QrtScalar. derandomize makes every run draw the
+# same examples, and no example database is kept.
+# ---------------------------------------------------------------------------
+
+_hopf_settings = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+_HOPF_BACKENDS = (QuiverAtQ(Quiver.cyclic(3), 2), QuiverAtQ(Quiver.kronecker(), 2))
+_hopf_coeffs = st.builds(
+    lambda a, c, e: QrtScalar(2, Fraction(a, 2**e), Fraction(c, 2**e)),
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(0, 1),
+).filter(lambda c: not c.is_zero())
+
+
+def _dims_up_to(n, total):
+    if n == 0:
+        return [()]
+    return [(a,) + rest for a in range(total + 1) for rest in _dims_up_to(n - 1, total - a)]
+
+
+@st.composite
+def _quiver_elem(draw, b, dim):
+    """k-free element with one to three classes of dimension vector dim."""
+    labels = draw(st.lists(st.sampled_from(b.classes_of_dim(dim)), min_size=1, max_size=3,
+                           unique=True))
+    zero = (0,) * b.quiver.n
+    return HallElement(b, {(lab, zero): draw(_hopf_coeffs) for lab in labels})
+
+
+@st.composite
+def _quiver_elem_pair(draw, b):
+    """(x, y, dx + dy) with total dimension of dx + dy at most 3."""
+    dx = draw(st.sampled_from(_dims_up_to(b.quiver.n, 3)))
+    dy = draw(st.sampled_from(_dims_up_to(b.quiver.n, 3 - sum(dx))))
+    x, y = draw(_quiver_elem(b, dx)), draw(_quiver_elem(b, dy))
+    return x, y, tuple(u + v for u, v in zip(dx, dy))
+
+
+@_hopf_settings
+@given(st.data(), st.sampled_from(_HOPF_BACKENDS))
+def test_antipode_convolution_on_random_quiver_elements(data, b):
+    # m(S (x) 1)Delta(x) = m(1 (x) S)Delta(x) = eps(x) 1
+    dim = data.draw(st.sampled_from(_dims_up_to(b.quiver.n, 3)))
+    x = data.draw(_quiver_elem(b, dim))
+    want = HallElement.one(b).scale(counit(b, x))
+    assert _convolution(b, x, True) == want
+    assert _convolution(b, x, False) == want
+
+
+@_hopf_settings
+@given(st.data(), st.sampled_from(_HOPF_BACKENDS))
+def test_green_compat_on_random_quiver_elements(data, b):
+    x, y, _ = data.draw(_quiver_elem_pair(b))
+    assert green_compat_residual(b, x, y).is_zero()
+
+
+@_hopf_settings
+@given(st.data(), st.sampled_from(_HOPF_BACKENDS))
+def test_hopf_pairing_on_random_quiver_elements(data, b):
+    # (xy, z) = (x (x) y, Delta'(z))
+    x, y, dz = data.draw(_quiver_elem_pair(b))
+    z = data.draw(_quiver_elem(b, dz))
+    xy = TensorElement(b, {(kx, ky): cx * cy for kx, cx in x.terms.items()
+                           for ky, cy in y.terms.items()})
+    assert pairing(b, multiply(b, x, y), z) == pairing_tensor(b, xy, comultiply(b, z))

@@ -298,6 +298,223 @@ def test_qrt_scalar_constructor_still_validates():
         QrtScalar.nu(4)
 
 
+def test_qrt_scalar_numpy_parts_do_not_wrap():
+    # Fraction keeps numpy numerators, whose products wrap around silently;
+    # the constructor must store Python ints instead
+    np = pytest.importorskip("numpy")
+    big = 2**62
+    x = QrtScalar(2, np.int64(big), np.int64(big))
+    assert x * x == QrtScalar(2, 3 * big * big, 2 * big * big)
+    y = QrtScalar(2, np.int64(big))
+    assert y * y == QrtScalar(2, big * big)
+    for z in (x, y, QrtScalar(3, True, False), QrtScalar(3, 1) + True):
+        assert all(type(part) is int for part in (z._n, z._m, z._d))
+
+
+class _QrtFractionOracle:
+    """QrtScalar as it was with Fraction parts a + b*sqrt(q): the slow,
+    independent reference for the integer form."""
+
+    __slots__ = ("q", "a", "b")
+
+    def __init__(self, q, a=0, b=0):
+        if not is_prime(q):
+            raise ValueError(f"q must be prime, got {q}")
+        self.q = q
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    @classmethod
+    def nu(cls, q, k=1):
+        m, r = divmod(k, 2)
+        base = Fraction(q) ** m
+        if r == 0:
+            return cls(q, base, 0)
+        return cls(q, 0, base)
+
+    def is_zero(self):
+        return not self.a and not self.b
+
+    def _coerce(self, other):
+        if isinstance(other, _QrtFractionOracle):
+            if other.q != self.q:
+                raise ValueError("mixing scalars over different q")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return _QrtFractionOracle(self.q, Fraction(other), Fraction(0))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return _QrtFractionOracle(self.q, self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _QrtFractionOracle(self.q, -self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        a, b, c, d = self.a, self.b, o.a, o.b
+        return _QrtFractionOracle(self.q, a * c + b * d * self.q, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.a * self.a - self.b * self.b * self.q
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return _QrtFractionOracle(self.q, self.a / n, -self.b / n)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = _QrtFractionOracle(self.q, 1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        return hash((self.q, self.a, self.b))
+
+    def has_qpower_denominator(self):
+        def qpower(x):
+            d = x.denominator
+            while d % self.q == 0:
+                d //= self.q
+            return d == 1
+        return qpower(self.a) and qpower(self.b)
+
+    def as_signed_nu_power(self):
+        for part, parity in ((self.a, 0), (self.b, 1)):
+            other = self.b if parity == 0 else self.a
+            if part == 0 or other != 0:
+                continue
+            mag = abs(part)
+            num, den = mag.numerator, mag.denominator
+            m = 0
+            if den == 1:
+                while num % self.q == 0:
+                    num //= self.q
+                    m += 1
+                if num != 1:
+                    return None
+            else:
+                if num != 1:
+                    return None
+                while den % self.q == 0:
+                    den //= self.q
+                    m -= 1
+                if den != 1:
+                    return None
+            sign = 1 if part > 0 else -1
+            return (sign, 2 * m + parity)
+        return None
+
+    def render(self):
+        sp = self.as_signed_nu_power()
+        if sp is not None:
+            sign, k = sp
+            s = "-" if sign < 0 else ""
+            if k == 0:
+                return s + "1"
+            if k == 1:
+                return s + "v"
+            return f"{s}v^{k}"
+        def frac(x):
+            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        if self.b == 0:
+            return frac(self.a)
+        if self.a == 0:
+            return f"{frac(self.b)}*v" if abs(self.b) != 1 else ("v" if self.b > 0 else "-v")
+        bs = f"{frac(abs(self.b))}*v" if abs(self.b) != 1 else "v"
+        op = "+" if self.b > 0 else "-"
+        return f"({frac(self.a)} {op} {bs})"
+
+    def to_json(self):
+        def frac(x):
+            return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+        return {"q": str(self.q), "rational_part": frac(self.a), "root_part": frac(self.b)}
+
+
+@st.composite
+def _oracle_operands(draw):
+    """A prime and two scalars' parts; a third of the operands are signed
+    nu powers, so as_signed_nu_power and render's v^k branch are reached."""
+    q = draw(_primes)
+    def parts():
+        if draw(st.integers(0, 2)) == 0:
+            sign, k = draw(st.sampled_from((1, -1))), draw(st.integers(-5, 5))
+            x = _QrtFractionOracle.nu(q, k) * sign
+            return x.a, x.b
+        return draw(_pairs)
+    return q, parts(), parts()
+
+
+def _qrt_canonical(x):
+    n, m, d = x._n, x._m, x._d
+    assert type(n) is int and type(m) is int and type(d) is int
+    assert d > 0 and math.gcd(n, m, d) == 1
+    rebuilt = QrtScalar(x.q, x.a, x.b)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+def _same_as_oracle(got, want):
+    _qrt_canonical(got)
+    assert (got.a, got.b) == (want.a, want.b)
+    assert got.render() == want.render()
+    assert got.to_json() == want.to_json()
+    assert got.as_signed_nu_power() == want.as_signed_nu_power()
+    assert got.has_qpower_denominator() == want.has_qpower_denominator()
+    assert got.is_zero() == want.is_zero()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_oracle_operands(), st.integers(-3, 3))
+def test_qrt_scalar_matches_fraction_oracle(operands, n):
+    q, xp, yp = operands
+    x, y = QrtScalar(q, *xp), QrtScalar(q, *yp)
+    ox, oy = _QrtFractionOracle(q, *xp), _QrtFractionOracle(q, *yp)
+    _same_as_oracle(x, ox)
+    _same_as_oracle(y, oy)
+    _same_as_oracle(QrtScalar.nu(q, n), _QrtFractionOracle.nu(q, n))
+    pairs = [
+        (x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (-x, -ox),
+        (x + 1, ox + 1), (2 - x, 2 - ox), (Fraction(3, 4) * x, Fraction(3, 4) * ox),
+        (x * y + x, ox * oy + ox), (x - x, ox - ox),
+    ]
+    if not y.is_zero():
+        pairs += [(x / y, ox / oy), (y.inverse(), oy.inverse()), (1 / y, 1 / oy),
+                  (y ** n, oy ** n), (x * y / y, ox * oy / oy)]
+    elif n >= 0:
+        pairs.append((y ** n, oy ** n))
+    for got, want in pairs:
+        _same_as_oracle(got, want)
+    assert (x == y) == (ox == oy)
+    assert (x * y == y * x) and hash(x * y) == hash(y * x)
+    assert (x == 1) == (ox == 1) and (x == Fraction(1, 2)) == (ox == Fraction(1, 2))
+
+
 def test_laurent_at_nu():
     # v^2 + 1 at q: q + 1
     p = L({2: 1, 0: 1})
