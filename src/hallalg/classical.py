@@ -15,6 +15,7 @@ place of the engine's {(la, ()): coeff}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Dict, Optional, Tuple
 
 from . import engine  # engine imports this module back; read its names at call time
@@ -84,21 +85,16 @@ def hall_poly_col(nu: Partition, mu: Partition, r: int) -> LaurentPoly:
     return out.shift(exponent)
 
 
-_COLUMN_ROW_CACHE: Dict[Tuple[Partition, int], Tuple[Tuple[Partition, LaurentPoly], ...]] = {}
-
-
+@cache
 def _column_row(sigma: Partition, r: int) -> Tuple[Tuple[Partition, LaurentPoly], ...]:
     """The nonzero P^tau_{sigma,(1^r)}, as (tau, polynomial) pairs in
     all_partitions order; tau runs over the vertical r-strips added to sigma."""
-    key = (sigma, r)
-    if key not in _COLUMN_ROW_CACHE:
-        row = []
-        for tau in all_partitions(weight(sigma) + r):
-            p = hall_poly_col(tau, sigma, r)
-            if not p.is_zero():
-                row.append((tau, p))
-        _COLUMN_ROW_CACHE[key] = tuple(row)
-    return _COLUMN_ROW_CACHE[key]
+    row = []
+    for tau in all_partitions(weight(sigma) + r):
+        p = hall_poly_col(tau, sigma, r)
+        if not p.is_zero():
+            row.append((tau, p))
+    return tuple(row)
 
 
 def _mult_by_column(elem: Dict[Partition, LaurentPoly], r: int) -> Dict[Partition, LaurentPoly]:
@@ -114,10 +110,7 @@ def _mult_by_column(elem: Dict[Partition, LaurentPoly], r: int) -> Dict[Partitio
     return out
 
 
-_EXPANSION_CACHE: Dict[int, Dict[Partition, Dict[Partition, LaurentPoly]]] = {}
-_IBASIS_CACHE: Dict[int, Dict[Partition, Dict[Partition, LaurentPoly]]] = {}
-
-
+@cache
 def elementary_expansion(n: int) -> Dict[Partition, Dict[Partition, LaurentPoly]]:
     """Expansions of the elementary products X_kappa in the [I] basis.
 
@@ -125,8 +118,6 @@ def elementary_expansion(n: int) -> Dict[Partition, Dict[Partition, LaurentPoly]
     column ends in the submodule slot. Triangularity with unit diagonal
     w.r.t. transpose dominance is asserted, not assumed.
     """
-    if n in _EXPANSION_CACHE:
-        return _EXPANSION_CACHE[n]
     table: Dict[Partition, Dict[Partition, LaurentPoly]] = {}
     for kappa in all_partitions(n):
         elem = _mu_times_x((), kappa)
@@ -139,14 +130,12 @@ def elementary_expansion(n: int) -> Dict[Partition, Dict[Partition, LaurentPoly]
                     f"elementary product X_{kappa} has non-dominated term {tau}"
                 )
         table[kappa] = elem
-    _EXPANSION_CACHE[n] = table
     return table
 
 
+@cache
 def ibasis_in_elementary(n: int) -> Dict[Partition, Dict[Partition, LaurentPoly]]:
     """[I_la] written in the X_kappa products, by unitriangular inversion."""
-    if n in _IBASIS_CACHE:
-        return _IBASIS_CACHE[n]
     table = elementary_expansion(n)
     expr: Dict[Partition, Dict[Partition, LaurentPoly]] = {}
     for la in sorted(all_partitions(n), key=dominance_key):
@@ -162,22 +151,15 @@ def ibasis_in_elementary(n: int) -> Dict[Partition, Dict[Partition, LaurentPoly]
                 else:
                     cur[kappa] = acc
         expr[la] = cur
-    _IBASIS_CACHE[n] = expr
     return expr
 
 
-_HALL_CACHE: Dict[Tuple[Partition, Partition, Partition], LaurentPoly] = {}
-_MU_X_CACHE: Dict[Tuple[Partition, Partition], Dict[Partition, LaurentPoly]] = {}
-
-
+@cache
 def _mu_times_x(mu: Partition, kappa: Partition) -> Dict[Partition, LaurentPoly]:
-    key = (mu, kappa)
-    if key not in _MU_X_CACHE:
-        elem: Dict[Partition, LaurentPoly] = {mu: L.one()}
-        for col in sorted(conjugate(kappa)):
-            elem = _mult_by_column(elem, col)
-        _MU_X_CACHE[key] = elem
-    return _MU_X_CACHE[key]
+    elem: Dict[Partition, LaurentPoly] = {mu: L.one()}
+    for col in sorted(conjugate(kappa)):
+        elem = _mult_by_column(elem, col)
+    return elem
 
 
 def hall_poly(nu: Partition, mu: Partition, la: Partition) -> LaurentPoly:
@@ -187,11 +169,9 @@ def hall_poly(nu: Partition, mu: Partition, la: Partition) -> LaurentPoly:
     return _hall_poly(as_partition(nu), as_partition(mu), as_partition(la))
 
 
+@cache
 def _hall_poly(nu: Partition, mu: Partition, la: Partition) -> LaurentPoly:
     """hall_poly on canonical partition tuples."""
-    key = (nu, mu, la)
-    if key in _HALL_CACHE:
-        return _HALL_CACHE[key]
     if weight(nu) != weight(mu) + weight(la):
         return L.zero()
     expr = ibasis_in_elementary(weight(la))
@@ -201,8 +181,7 @@ def _hall_poly(nu: Partition, mu: Partition, la: Partition) -> LaurentPoly:
         if nu in prod:
             total = total + c * prod[nu]
     if not total.is_zero() and not total.is_polynomial():
-        raise ConsistencyError(f"Hall polynomial {key} has negative t-exponents")
-    _HALL_CACHE[key] = total
+        raise ConsistencyError(f"Hall polynomial {(nu, mu, la)} has negative t-exponents")
     return total
 
 
@@ -377,22 +356,22 @@ def from_symfun(f: SymFun) -> GenericHallElement:
     return out
 
 
-_NEWTON_CACHE: Dict[int, SymFun] = {}
-
-
 def newton_p_in_e(r: int) -> SymFun:
     """Power sum p_r in the elementary basis, by the Newton recursion
     p_r = (-1)^(r-1) r e_r + sum_{i<r} (-1)^(r-1+i) e_{r-i} p_i."""
     if not isinstance(r, int) or r < 1:
         raise ValueError("newton_p_in_e needs r >= 1")
-    if r in _NEWTON_CACHE:
-        return _NEWTON_CACHE[r]
+    return _newton(r)
+
+
+@cache
+def _newton(r: int) -> SymFun:
+    """newton_p_in_e once its argument is checked."""
     sign = 1 if (r - 1) % 2 == 0 else -1
     out = SymFun.e(r).scale(sign * r)
     for i in range(1, r):
         s = 1 if (r - 1 + i) % 2 == 0 else -1
-        out = out + (SymFun.e(r - i) * newton_p_in_e(i)).scale(s)
-    _NEWTON_CACHE[r] = out
+        out = out + (SymFun.e(r - i) * _newton(i)).scale(s)
     return out
 
 

@@ -15,8 +15,8 @@ hallalg.classical's partition-keyed functions run them on CLASSICAL.
 
 Each backend instance keeps one memo, filled by the functions decorated
 with _memoized (product rows, coproduct terms, antipode values, classes of
-a dimension and, on quivers, class representatives); it lives as long as
-the backend.
+a dimension and, on quivers, class representatives and label indices); it
+lives as long as the backend.
 """
 
 from __future__ import annotations
@@ -256,8 +256,13 @@ class QuiverAtQ:
 
     def label_string(self, label) -> str:
         dim = self.dim_of(label)
-        idx = self.classes_of_dim(dim).index(label)
+        idx = self._class_index(dim)[label]
         return f"c{idx}@({','.join(str(d) for d in dim)})"
+
+    @_memoized
+    def _class_index(self, dim: Tuple[int, ...]) -> Dict:
+        """{label: its index in classes_of_dim(dim)}."""
+        return {lab: i for i, lab in enumerate(self.classes_of_dim(dim))}
 
     def parse_label(self, s: str):
         s = s.strip()

@@ -644,10 +644,6 @@ class QrtScalar:
         num, den = (q**j, 1) if j >= 0 else (1, q ** (-j))
         return _qrt(q, num, 0, den) if r == 0 else _qrt(q, 0, num, den)
 
-    @classmethod
-    def from_fraction(cls, q: int, x) -> "QrtScalar":
-        return cls(q, x)
-
     @property
     def a(self) -> Fraction:
         """The rational part."""

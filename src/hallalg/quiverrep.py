@@ -9,6 +9,13 @@ test with its sub / quotient matrices. The first three check that their
 fixed-width intermediates stay inside their dtype for the given q and size;
 the submodule kernel switches to Python-int arrays where int64 would not
 hold them.
+
+A generic representation is classified by looking its base-q point code
+up among the enumerated points of its dimension vector, each tagged with
+its orbit; the Jordan and cyclic nilpotent backends classify by ranks.
+aut_count, enumerate_iso_classes, classify_rep and submodule_type_table
+keep their results through one helper, _cached, which checks the budget
+on every call against the count the cold call needed.
 """
 
 from __future__ import annotations
@@ -500,6 +507,23 @@ def _require_budget(layer: str, needed: int, budget: int, dims, q: int, unit: st
         )
 
 
+# (layer, key) -> (points or subspace tuples the cold call needed, value)
+_CACHE: Dict[Tuple[str, object], Tuple[int, object]] = {}
+
+
+def _cached(layer: str, key, budget: Optional[int], dims, q: int, compute, unit: str = "points"):
+    """compute(budget) -> (count, value), run once per (layer, key) and
+    kept; compute checks the budget before it does the work. Every call,
+    warm or cold, checks the budget against that count, so a warm cache
+    fails exactly where a cold one does. Returns the value."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    hit = _CACHE.get((layer, key))
+    if hit is None:
+        hit = _CACHE[layer, key] = compute(budget)
+    _require_budget(layer, hit[0], budget, dims, q, unit)
+    return hit[1]
+
+
 def _require_int64(layer: str, worst: int, what: str, dims, q: int) -> None:
     """Raise unless `worst`, the largest magnitude a kernel's `what` can
     reach, fits int64: the numpy kernels are exact only inside that range."""
@@ -648,57 +672,38 @@ def _count_vertexwise_invertible(
     return (count > 0) if find_one else count
 
 
-# rep -> (endomorphism combinations scanned, automorphism count)
-_AUT_CACHE: Dict[QuiverRep, Tuple[int, int]] = {}
-
-
-def _aut_scan(M: QuiverRep, budget: int) -> Tuple[int, int]:
-    """(points scanned, automorphism count) of M. The budget is checked
-    against the points before the cache is read, so a warm cache fails
-    exactly where a cold one does."""
-    if M.total_dim() == 0:
-        return 1, 1
-    hit = _AUT_CACHE.get(M)
-    if hit is not None:
-        _require_budget("aut_count", hit[0], budget, M.dims, M.q)
-        return hit
-    basis = hom_basis(M, M)
-    count = _count_vertexwise_invertible(basis, M.dims, M.q, budget, "aut_count")
-    hit = _AUT_CACHE[M] = (M.q ** len(basis), count)
-    return hit
-
-
 def aut_count(M: QuiverRep, budget: Optional[int] = None) -> int:
     """Number of invertible intertwiners M -> M, by exhaustive scan of the
     endomorphism space."""
-    return _aut_scan(M, DEFAULT_BUDGET if budget is None else budget)[1]
+
+    def scan(budget: int) -> Tuple[int, int]:
+        if M.total_dim() == 0:
+            return 1, 1
+        basis = hom_basis(M, M)
+        return M.q ** len(basis), _count_vertexwise_invertible(
+            basis, M.dims, M.q, budget, "aut_count"
+        )
+
+    return _cached("aut_count", M, budget, M.dims, M.q, scan)
 
 
 def is_isomorphic(M: QuiverRep, N: QuiverRep, budget: Optional[int] = None) -> bool:
     if M.quiver != N.quiver or M.q != N.q:
         raise ValueError("comparing representations of different quivers or fields")
-    return _iso_scan(M, N, DEFAULT_BUDGET if budget is None else budget)[1]
-
-
-def _iso_scan(M: QuiverRep, N: QuiverRep, budget: int) -> Tuple[int, bool]:
-    """(points the scan needed, whether M and N are isomorphic); 0 points
-    when a cheap invariant decides."""
     if M.dims != N.dims:
-        return 0, False
+        return False
     if M.mats == N.mats:
-        return 0, True
+        return True
     p = M.q
     for xm, xn in zip(M.mats, N.mats):
         cols = len(xm[0]) if xm else 0
         if _rank(xm, cols, p) != _rank(xn, cols, p):
-            return 0, False
+            return False
     basis = hom_basis(M, N)
     if not basis:
-        return 0, False
-    found = _count_vertexwise_invertible(
-        basis, M.dims, p, budget, "is_isomorphic", find_one=True
-    )
-    return p ** len(basis), bool(found)
+        return False
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return _count_vertexwise_invertible(basis, M.dims, p, budget, "is_isomorphic", find_one=True)
 
 
 def gl_order(n: int, q: int) -> int:
@@ -802,19 +807,9 @@ def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
 
 def cyclic_labels_for_dim(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[Partition, ...]]:
     """All tuple-of-partitions labels with the given dimension vector."""
-    n = Q.n
-    total = sum(d)
-
-    def chain_dim(start: int, length: int) -> Tuple[int, ...]:
-        out = [0] * n
-        for c in range(length):
-            out[(start + c) % n] += 1
-        return tuple(out)
-
     from .partitions import all_partitions
 
-    labels = []
-    # partition sizes per start vertex summing to total
+    # partition sizes per start vertex summing to the total dimension
     def compositions(k: int, rem: int):
         if k == 1:
             yield (rem,)
@@ -823,15 +818,11 @@ def cyclic_labels_for_dim(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[Partition
             for rest in compositions(k - 1, rem - first):
                 yield (first,) + rest
 
-    for sizes in compositions(n, total):
+    labels = []
+    for sizes in compositions(Q.n, sum(d)):
         for las in itertools.product(*(all_partitions(s) for s in sizes)):
-            dims = [0] * n
-            for start, la in enumerate(las):
-                for part in la:
-                    cd = chain_dim(start, part)
-                    dims = [a + b for a, b in zip(dims, cd)]
-            if tuple(dims) == tuple(d):
-                labels.append(tuple(las))
+            if label_dim(Q, las) == tuple(d):
+                labels.append(las)
     return sorted(labels)
 
 
@@ -984,16 +975,16 @@ def _generator_matrix(Q: Quiver, d: Tuple[int, ...], vertex: int, g: Mat, g_inv:
 
 
 def _orbit_seeds(
-    Q: Quiver, q: int, d: Tuple[int, ...], nilpotent: bool, budget: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits of GL_d on the points of _enumerate_points: (points, seed row
-    indices, orbit sizes), seeds increasing. A seed is the lex-least row of
-    its orbit, found by min-label propagation over the generators with
-    pointer jumping."""
+    Q: Quiver, q: int, d: Tuple[int, ...], budget: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of GL_d on the points of _enumerate_points: (points, their
+    base-q codes, seed row indices, orbit sizes, orbit index of each point),
+    seeds increasing. A seed is the lex-least row of its orbit, found by
+    min-label propagation over the generators with pointer jumping."""
     layer = "enumerate_iso_classes"
     nslots = sum(r * c for r, c in _arrow_shapes(Q, d))
     _require_int64(layer, nslots * (q - 1) ** 2, "generator images", d, q)
-    points = _enumerate_points(Q, q, d, nilpotent, budget)
+    points = _enumerate_points(Q, q, d, Q.nilpotent, budget)
     n_points = len(points)
     weights = np.array([q ** k for k in range(nslots - 1, -1, -1)], dtype=np.int64)
     codes = points @ weights
@@ -1025,25 +1016,22 @@ def _orbit_seeds(
                 break
             labels = jumped
         if np.array_equal(labels, before):
-            seeds, sizes = np.unique(labels, return_counts=True)
-            return points, seeds, sizes
+            seeds, owner, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+            return points, codes, seeds, sizes, owner
 
 
 IsoClass = Tuple[object, QuiverRep, int]  # (label, representative, orbit size)
-
-# key -> (points or endomorphism combinations the result needed, classes)
-_ISO_CACHE: Dict[Tuple, Tuple[int, List[IsoClass]]] = {}
 
 
 def enumerate_iso_classes(
     Q: Quiver,
     q: int,
     d,
-    nilpotent: Optional[bool] = None,
     budget: Optional[int] = None,
     force_generic: bool = False,
 ) -> List[IsoClass]:
-    """Isomorphism classes of representations with dimension vector d.
+    """Isomorphism classes of representations with dimension vector d,
+    nilpotent ones only when the quiver is flagged nilpotent.
 
     Returns (label, representative, orbit_size) triples, deterministically
     ordered. The Jordan and cyclic backends use closed-form classifications
@@ -1057,48 +1045,49 @@ def enumerate_iso_classes(
         raise ValueError("bad dimension vector")
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    if nilpotent is None:
-        nilpotent = Q.nilpotent
-    if Q.jordan:
-        nilpotent = True
-    budget_val = DEFAULT_BUDGET if budget is None else budget
-    key = (Q, q, d, nilpotent, force_generic)
-    if key in _ISO_CACHE:
-        needed, out = _ISO_CACHE[key]
-        _require_budget("enumerate_iso_classes", needed, budget_val, d, q)
-        return out
+    return _iso_classes(Q, q, d, budget, force_generic)[0]
 
-    needed = 0
-    out: List[IsoClass] = []
-    if Q.jordan and not force_generic:
-        from .partitions import all_partitions, aut_poly
 
-        for la in sorted(all_partitions(d[0]), key=dominance_key):
-            rep = jordan_rep(la, q)
-            a = int(aut_poly(la).evaluate(q))
-            total = gl_order(d[0], q)
-            if total % a:  # pragma: no cover
-                raise ConsistencyError("orbit-stabilizer division failed")
-            out.append((la, rep, total // a))
-    elif Q.is_single_cycle() and nilpotent and not force_generic:
-        for label in cyclic_labels_for_dim(Q, d):
-            rep = rep_from_cyclic_label(Q, q, label)
-            scanned, a = _aut_scan(rep, budget_val)
-            needed = max(needed, scanned)
-            total = gl_order_vec(d, q)
-            if total % a:  # pragma: no cover
-                raise ConsistencyError("orbit-stabilizer division failed")
-            out.append((label, rep, total // a))
-    else:
+def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], force_generic: bool = False):
+    """enumerate_iso_classes's cached value: (classes, point codes, class
+    index of each point). Only the orbit enumeration fills the two arrays
+    (else None)."""
+
+    def enumerate_(budget: int):
+        out: List[IsoClass] = []
+        if Q.jordan and not force_generic:
+            from .partitions import all_partitions, aut_poly
+
+            for la in sorted(all_partitions(d[0]), key=dominance_key):
+                rep = jordan_rep(la, q)
+                a = int(aut_poly(la).evaluate(q))
+                total = gl_order(d[0], q)
+                if total % a:  # pragma: no cover
+                    raise ConsistencyError("orbit-stabilizer division failed")
+                out.append((la, rep, total // a))
+            return 0, (out, None, None)
+        if Q.is_single_cycle() and Q.nilpotent and not force_generic:
+            reps = [(label, rep_from_cyclic_label(Q, q, label)) for label in cyclic_labels_for_dim(Q, d)]
+            # the largest automorphism scan, checked before any of them runs
+            needed = max(q ** hom_dim(rep, rep) for _, rep in reps)
+            _require_budget("enumerate_iso_classes", needed, budget, d, q)
+            for label, rep in reps:
+                a = aut_count(rep, budget)
+                total = gl_order_vec(d, q)
+                if total % a:  # pragma: no cover
+                    raise ConsistencyError("orbit-stabilizer division failed")
+                out.append((label, rep, total // a))
+            return needed, (out, None, None)
         needed = _space_size(Q, q, d)
-        _require_budget("enumerate_iso_classes", needed, budget_val, d, q)
-        points, seeds, sizes = _orbit_seeds(Q, q, d, nilpotent, budget_val)
+        _require_budget("enumerate_iso_classes", needed, budget, d, q)
+        points, codes, seeds, sizes, owner = _orbit_seeds(Q, q, d, budget)
         shapes = _arrow_shapes(Q, d)
         for i, size in zip(seeds.tolist(), sizes.tolist()):
             seed = _point_mats(points[i], shapes)
             out.append(((d, seed), QuiverRep(Q, q, d, seed), size))
-    _ISO_CACHE[key] = (needed, out)
-    return out
+        return needed, (out, codes, owner)
+
+    return _cached("enumerate_iso_classes", (Q, q, d, force_generic), budget, d, q, enumerate_)
 
 
 def _invert_mat(m: Mat, p: int) -> Mat:
@@ -1110,42 +1099,34 @@ def _invert_mat(m: Mat, p: int) -> Mat:
     return tuple(tuple(row[n:]) for row in red)
 
 
-# rep -> (largest point count any of its enumerations or scans needed, label)
-_CLASSIFY_CACHE: Dict[QuiverRep, Tuple[int, object]] = {}
-
-
 def classify_rep(M: QuiverRep, budget: Optional[int] = None):
     """Canonical IsoLabel of a representation: partition (Jordan), tuple of
-    partitions (cyclic nilpotent), else the lex-least orbit representative.
-    A cache hit checks the budget against the largest count the cold call
-    checked, so a warm cache fails exactly where a cold one does."""
-    budget_val = DEFAULT_BUDGET if budget is None else budget
-    hit = _CLASSIFY_CACHE.get(M)
-    if hit is not None:
-        _require_budget("classify_rep", hit[0], budget_val, M.dims, M.q)
-        return hit[1]
-    needed = 0
-    if M.quiver.jordan:
-        label: object = jordan_type(M)
-    elif M.quiver.is_single_cycle() and M.quiver.nilpotent:
-        label = cyclic_type(M)
-    else:
-        classes = enumerate_iso_classes(
-            M.quiver, M.q, M.dims, nilpotent=M.quiver.nilpotent, budget=budget_val
-        )
-        # the orbit enumeration checked the size of the whole space
-        needed = _space_size(M.quiver, M.q, M.dims)
-        label = None
-        for lab, rep, _ in classes:
-            scanned, same = _iso_scan(M, rep, budget_val)
-            needed = max(needed, scanned)
-            if same:
-                label = lab
-                break
-        if label is None:  # pragma: no cover
-            raise ConsistencyError("representation matches no enumerated class")
-    _CLASSIFY_CACHE[M] = (needed, label)
-    return label
+    partitions (cyclic nilpotent), else the lex-least orbit representative,
+    looked up by M's base-q code among the enumerated points at its
+    dimension vector; it needs what that enumeration needs."""
+
+    def classify(budget: int):
+        Q, q = M.quiver, M.q
+        if Q.jordan:
+            return 0, jordan_type(M)
+        if Q.is_single_cycle() and Q.nilpotent:
+            return 0, cyclic_type(M)
+        needed = _space_size(Q, q, M.dims)
+        _require_budget("classify_rep", needed, budget, M.dims, q)
+        classes, codes, owner = _iso_classes(Q, q, M.dims, budget)
+        code = 0  # row-major over the arrows in order, as the points' codes
+        for row in itertools.chain.from_iterable(M.mats):
+            for x in row:
+                code = code * q + x
+        pos = int(np.searchsorted(codes, code))
+        if pos == len(codes) or codes[pos] != code:
+            raise ConsistencyError(
+                f"classify_rep at dimension vector {M.dims}, q={q}: the representation "
+                "is not among the enumerated points"
+            )
+        return needed, classes[owner[pos]][0]
+
+    return _cached("classify_rep", M, budget, M.dims, M.q, classify)
 
 
 def label_dim(Q: Quiver, label) -> Tuple[int, ...]:
@@ -1221,10 +1202,6 @@ def _submodule_dtype(dims: Sequence[int], p: int):
     return np.int64 if max(dims) * (p - 1) ** 2 <= np.iinfo(np.int64).max else object
 
 
-# rep -> (subspace tuples scanned, table)
-_SUBMODULE_TABLE_CACHE: Dict[QuiverRep, Tuple[int, Dict[Tuple[object, object], int]]] = {}
-
-
 def submodule_type_table(
     R: QuiverRep, budget: Optional[int] = None
 ) -> Dict[Tuple[object, object], int]:
@@ -1240,16 +1217,18 @@ def submodule_type_table(
     arrow, the sub matrix is I read at (U_s pivots, U_t pivots) and the
     quotient matrix X^T (1 - E_t), X's columns reduced against U_t, read at
     (U_s non-pivots, U_t non-pivots), both transposed."""
-    budget_val = DEFAULT_BUDGET if budget is None else budget
+    return _cached(
+        "submodule_type_table", R, budget, R.dims, R.q, lambda b: _submodule_table(R, b), "subspace tuples"
+    )
+
+
+def _submodule_table(R: QuiverRep, budget: int) -> Tuple[int, Dict[Tuple[object, object], int]]:
+    """(subspace tuples scanned, submodule_type_table(R))."""
     p = R.q
-    hit = _SUBMODULE_TABLE_CACHE.get(R)
-    if hit is not None:
-        _require_budget("submodule_type_table", hit[0], budget_val, R.dims, p, "subspace tuples")
-        return hit[1]
     total_tuples = 1
     for d in R.dims:
         total_tuples *= sum(subspace_count(d, k, p) for k in range(d + 1))
-    _require_budget("submodule_type_table", total_tuples, budget_val, R.dims, p, "subspace tuples")
+    _require_budget("submodule_type_table", total_tuples, budget, R.dims, p, "subspace tuples")
     Q, dims = R.quiver, R.dims
     eff = Q.effective_arrows()
     dtype = _submodule_dtype(dims, p)
@@ -1300,10 +1279,9 @@ def submodule_type_table(
                 quo.append(tuple(tuple(row[ks[s] :]) for row in m[r][ks[t] :]))
             sub_rep = _unvalidated_rep(Q, p, tuple(ks), tuple(sub))
             quo_rep = _unvalidated_rep(Q, p, tuple(d - k for d, k in zip(dims, ks)), tuple(quo))
-            key = (classify_rep(quo_rep, budget=budget_val), classify_rep(sub_rep, budget=budget_val))
+            key = (classify_rep(quo_rep, budget=budget), classify_rep(sub_rep, budget=budget))
             table[key] = table.get(key, 0) + 1
-    _SUBMODULE_TABLE_CACHE[R] = (total_tuples, table)
-    return table
+    return total_tuples, table
 
 
 def count_submodules(

@@ -155,18 +155,6 @@ def tensor_records(t) -> List[Dict]:
     ]
 
 
-def double_records(b, d: Dict) -> List[Dict]:
-    return [
-        {
-            "plus_label": b.label_string(ylab),
-            "k_offset": list(off),
-            "minus_label": b.label_string(xlab),
-            "coeff": render_scalar(c),
-        }
-        for (ylab, off, xlab), c in sorted_double_items(b, d)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # LaTeX
 # ---------------------------------------------------------------------------

@@ -193,8 +193,9 @@ def test_dominance_cross_check_exit_code(monkeypatch):
     import hallalg.classical
     import hallalg.partitions
 
-    for cache in ("_EXPANSION_CACHE", "_IBASIS_CACHE", "_HALL_CACHE"):
-        monkeypatch.setattr(hallalg.classical, cache, {})
+    # run the cross-check cold: a cached expansion would skip it
+    for fn in ("elementary_expansion", "ibasis_in_elementary", "_hall_poly"):
+        getattr(hallalg.classical, fn).cache_clear()
     monkeypatch.setattr(hallalg.partitions, "conjugate", lambda la: tuple(la))
     code, out, err = run(["hallpoly", "(2,1)", "(1)", "(1,1)"])
     assert code == 4

@@ -10,6 +10,7 @@ import pytest
 
 from hallalg.classical import hall_poly
 from hallalg.exactnum import BudgetError, ConsistencyError, gauss_binomial
+from hallalg import quiverrep
 from hallalg.partitions import all_partitions, aut_poly
 from hallalg.quiverrep import (
     Quiver,
@@ -40,6 +41,7 @@ from hallalg.quiverrep import (
     is_isomorphic,
     jordan_rep,
     jordan_type,
+    label_dim,
     quiver_has_cycle,
     rep_from_label,
     simple_rep,
@@ -418,6 +420,60 @@ def test_classify_jordan():
         jordan_type(_unvalidated_rep(Quiver.jordan_quiver(), 3, (2,), ((((1, 0), (0, 0))),)))
 
 
+def _classify_by_scan(M):
+    """Reference classifier: the first enumerated class isomorphic to M."""
+    for label, rep, _ in enumerate_iso_classes(M.quiver, M.q, M.dims):
+        if is_isomorphic(M, rep):
+            return label
+    raise AssertionError(f"{M} matches no enumerated class")
+
+
+def _all_reps(Q, q, d):
+    """Every representation at d, built entry by entry; QuiverRep refuses
+    the non-nilpotent ones on a nilpotent quiver."""
+    shapes = [(d[t], d[s]) for s, t in Q.effective_arrows()]
+    for entries in itertools.product(range(q), repeat=sum(r * c for r, c in shapes)):
+        mats, pos = [], 0
+        for r, c in shapes:
+            mats.append(tuple(tuple(entries[pos + i * c : pos + (i + 1) * c]) for i in range(r)))
+            pos += r * c
+        try:
+            yield QuiverRep(Q, q, d, tuple(mats))
+        except ValueError:
+            continue
+
+
+_TWO_CYCLE = Quiver(("0", "1"), (("0", "1"), ("1", "0")))
+# a cycle with a tail: nilpotent, but neither Jordan nor a single cycle
+_NILPOTENT_TAIL = Quiver(("0", "1", "2"), (("0", "1"), ("1", "0"), ("1", "2")), nilpotent=True)
+
+
+@pytest.mark.parametrize(
+    "Q, q, d",
+    [
+        (Quiver.kronecker(), 2, (2, 2)),
+        (Quiver.kronecker(), 2, (2, 3)),
+        (Quiver.a2(), 3, (2, 2)),
+        (_TWO_CYCLE, 2, (1, 1)),
+        (_TWO_CYCLE, 2, (2, 1)),
+        (_NILPOTENT_TAIL, 2, (1, 1, 1)),
+        (_NILPOTENT_TAIL, 2, (2, 1, 1)),
+    ],
+)
+def test_classify_lookup_matches_scan(Q, q, d):
+    # the point-code lookup against isomorphism scans, on every point
+    classes = enumerate_iso_classes(Q, q, d)
+    for label, rep, _ in classes:
+        assert label_dim(Q, label) == d
+        assert rep_from_label(Q, q, label) == rep
+    sizes = dict.fromkeys((label for label, _, _ in classes), 0)
+    for M in _all_reps(Q, q, d):
+        label = classify_rep(M)
+        assert label == _classify_by_scan(M), M
+        sizes[label] += 1
+    assert sizes == {label: size for label, _, size in classes}
+
+
 def test_count_submodules_goldens():
     J2 = Quiver.jordan_quiver()
     assert count_submodules(jordan_rep((1, 1), 2), (1,), (1,)) == 3
@@ -562,25 +618,38 @@ def test_quiver_derived_fields_are_fixed_and_invisible():
     assert Quiver(("a", "b", "c"), (("a", "c"), ("c", "b"), ("b", "a"))).is_single_cycle()
 
 
-def test_budget_errors_ignore_warm_caches():
+def test_budget_errors_ignore_warm_caches(monkeypatch):
     # a result computed under a large budget must not satisfy a call whose
-    # budget is too small: the failure may not depend on what ran before
+    # budget is too small, and the error must read the same cold and warm:
+    # the failure may not depend on what ran before
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
     J = Quiver.jordan_quiver()
-    rep = jordan_rep((1, 1, 1), 3)
-    assert aut_count(rep, budget=3 ** 16) == int(aut_poly((1, 1, 1)).evaluate(3))
-    with pytest.raises(BudgetError):
-        aut_count(rep, budget=100)
-    enumerate_iso_classes(J, 2, 3, force_generic=True, budget=3 ** 16)
-    with pytest.raises(BudgetError):
-        enumerate_iso_classes(J, 2, 3, force_generic=True, budget=100)
-    submodule_type_table(jordan_rep((2, 2, 1), 2), budget=3 ** 16)
-    with pytest.raises(BudgetError):
-        submodule_type_table(jordan_rep((2, 2, 1), 2), budget=100)
     # classifying a Kronecker (2,2) rep enumerates all 2^8 points at q=2
     kron = QuiverRep(Quiver.kronecker(), 2, (2, 2), (((1, 0), (0, 1)), ((0, 1), (0, 0))))
-    classify_rep(kron, budget=3 ** 16)
-    with pytest.raises(BudgetError, match="256 points"):
-        classify_rep(kron, budget=10)
+    calls = [
+        lambda budget: aut_count(jordan_rep((1, 1, 1), 3), budget=budget),
+        lambda budget: enumerate_iso_classes(J, 2, 3, force_generic=True, budget=budget),
+        # the closed-form cyclic classes check their largest aut scan up front
+        lambda budget: enumerate_iso_classes(Quiver.cyclic(2), 2, (2, 2), budget=budget),
+        lambda budget: submodule_type_table(jordan_rep((2, 2, 1), 2), budget=budget),
+        lambda budget: classify_rep(kron, budget=budget),
+    ]
+    cold = []
+    for call in calls:
+        with pytest.raises(BudgetError) as err:
+            call(10)
+        cold.append(str(err.value))
+    for call in calls:
+        call(3 ** 16)
+    for call, message in zip(calls, cold):
+        with pytest.raises(BudgetError) as err:
+            call(10)
+        assert str(err.value) == message
+    assert aut_count(jordan_rep((1, 1, 1), 3)) == int(aut_poly((1, 1, 1)).evaluate(3))
+    # classify_rep needs exactly what enumerating its dimension vector needs
+    assert cold[4] == "classify_rep at dimension vector (2, 2), q=2 needs 256 points, budget is 10"
+    with pytest.raises(BudgetError, match="needs 256 points"):
+        enumerate_iso_classes(Quiver.kronecker(), 2, (2, 2), budget=10)
 
 
 def _a2_rank1(a, c, q):
