@@ -14,9 +14,10 @@ protocol. This is the only implementation of the Hopf operations:
 hallalg.classical's partition-keyed functions run them on CLASSICAL.
 
 Each backend instance keeps one memo, filled by the functions decorated
-with _memoized (product rows, coproduct terms, antipode values, classes of
-a dimension and, on quivers, class representatives and label indices); it
-lives as long as the backend.
+with _memoized (product rows, coproduct terms, antipode values and classes
+of a dimension); it lives as long as the backend. On quivers the classes
+entry of a dimension vector also holds each class's index, representative
+and |Aut|, all read from its enumeration.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .exactnum import (
 )
 from .partitions import all_partitions, aut_poly, dominance_key, parse_partition, render_partition
 from . import classical, quiverrep
-from .quiverrep import Quiver, enumerate_iso_classes, label_dim, rep_from_label
+from .quiverrep import Quiver, enumerate_iso_classes, label_dim
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +152,6 @@ class ClassicalGeneric:
     def pairing_zero(self):
         return RationalFunction.zero()
 
-    def pairing_one(self):
-        return RationalFunction.one()
-
     # label serialization for reports
     def label_string(self, label) -> str:
         return render_partition(label)
@@ -191,12 +189,17 @@ class QuiverAtQ:
         gamma = self.normalize_gamma(gamma)
         if any(g < 0 for g in gamma):
             return []
-        return self._classes(gamma)
+        return self._classes(gamma)[0]
 
     @_memoized
-    def _classes(self, gamma: Tuple[int, ...]) -> List:
+    def _classes(self, gamma: Tuple[int, ...]) -> Tuple[List, Dict]:
+        """(labels in enumeration order, {label: (index, representative,
+        |Aut|)}), from one enumerate_iso_classes call; by orbit-stabilizer
+        |Aut M| = |GL_gamma| / |orbit of M|."""
         classes = enumerate_iso_classes(self.quiver, self.q, gamma, budget=self.budget)
-        return [lab for lab, _, _ in classes]
+        gl = quiverrep.gl_order_vec(gamma, self.q)
+        data = {lab: (i, rep, gl // size) for i, (lab, rep, size) in enumerate(classes)}
+        return [lab for lab, _, _ in classes], data
 
     def dim_of(self, label) -> Tuple[int, ...]:
         return label_dim(self.quiver, label)
@@ -204,18 +207,19 @@ class QuiverAtQ:
     def offset_of_dim(self, dim) -> Tuple[int, ...]:
         return tuple(dim)
 
-    @_memoized
+    def _class(self, label) -> Tuple[int, quiverrep.QuiverRep, int]:
+        return self._classes(self.dim_of(label))[1][label]
+
     def rep(self, label):
-        """The class representative, built and validated once per label
-        (QuiverRep is frozen, so every caller can share it)."""
-        return rep_from_label(self.quiver, self.q, label)
+        """The class representative enumerate_iso_classes returned."""
+        return self._class(label)[1]
 
     def hall(self, R, M, N):
         cnt = quiverrep.count_submodules(self.rep(R), M, N, budget=self.budget)
         return QrtScalar(self.q, cnt)
 
     def aut(self, label):
-        return QrtScalar(self.q, quiverrep.aut_count(self.rep(label), budget=self.budget))
+        return QrtScalar(self.q, self._class(label)[2])
 
     def euler_a(self, alpha, beta) -> int:
         return quiverrep.euler_form_add(self.quiver, alpha, beta)
@@ -251,18 +255,9 @@ class QuiverAtQ:
     def pairing_zero(self):
         return QrtScalar(self.q, 0)
 
-    def pairing_one(self):
-        return QrtScalar(self.q, 1)
-
     def label_string(self, label) -> str:
         dim = self.dim_of(label)
-        idx = self._class_index(dim)[label]
-        return f"c{idx}@({','.join(str(d) for d in dim)})"
-
-    @_memoized
-    def _class_index(self, dim: Tuple[int, ...]) -> Dict:
-        """{label: its index in classes_of_dim(dim)}."""
-        return {lab: i for i, lab in enumerate(self.classes_of_dim(dim))}
+        return f"c{self._class(label)[0]}@({','.join(str(d) for d in dim)})"
 
     def parse_label(self, s: str):
         s = s.strip()

@@ -396,14 +396,8 @@ def balanced_qbinomial(m: int, n: int) -> LaurentPoly:
 def _poly_content(p: LaurentPoly) -> int:
     g = 0
     for _, v in p.items():
-        g = _gcd_int(g, abs(v))
+        g = math.gcd(g, abs(v))
     return g if g else 1
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -437,11 +431,11 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     # primitivize: scale to integer coefficients with content 1
     denom_lcm = 1
     for v in fa.values():
-        denom_lcm = denom_lcm * v.denominator // _gcd_int(denom_lcm, v.denominator)
+        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
     ints = {e: int(v * denom_lcm) for e, v in fa.items()}
     content = 0
     for v in ints.values():
-        content = _gcd_int(content, abs(v))
+        content = math.gcd(content, abs(v))
     ints = {e: v // content for e, v in ints.items()}
     g = LaurentPoly(ints)
     if g.coeff(g.degree()) < 0:
@@ -472,7 +466,7 @@ class RationalFunction:
         if not g.is_one():
             n_h = n_h.divexact(g)
             d_h = d_h.divexact(g)
-        c = _gcd_int(_poly_content(n_h), _poly_content(d_h))
+        c = math.gcd(_poly_content(n_h), _poly_content(d_h))
         if c > 1:
             n_h = n_h.divexact(LaurentPoly.from_int(c))
             d_h = d_h.divexact(LaurentPoly.from_int(c))

@@ -12,7 +12,9 @@ hold them.
 
 A generic representation is classified by looking its base-q point code
 up among the enumerated points of its dimension vector, each tagged with
-its orbit; the Jordan and cyclic nilpotent backends classify by ranks.
+its orbit; the Jordan and cyclic nilpotent backends classify by ranks and
+take each class's orbit size |GL_d| / |Aut M| from the closed form of
+|Aut M|, which aut_count's exhaustive scan checks in the tests.
 aut_count, enumerate_iso_classes, classify_rep and submodule_type_table
 keep their results through one helper, _cached, which checks the budget
 on every call against the count the cold call needed.
@@ -29,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exactnum import BudgetError, ConsistencyError, is_prime
-from .partitions import Partition, as_partition, dominance_key
+from .partitions import Partition, all_partitions, as_partition, dominance_key
 
 Mat = Tuple[Tuple[int, ...], ...]
 
@@ -807,8 +809,6 @@ def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
 
 def cyclic_labels_for_dim(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[Partition, ...]]:
     """All tuple-of-partitions labels with the given dimension vector."""
-    from .partitions import all_partitions
-
     # partition sizes per start vertex summing to the total dimension
     def compositions(k: int, rem: int):
         if k == 1:
@@ -879,10 +879,8 @@ def _arrow_shapes(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[int, int]]:
     return [(d[t], d[s]) for s, t in Q.effective_arrows()]
 
 
-def _enumerate_points(
-    Q: Quiver, q: int, d: Tuple[int, ...], nilpotent: bool, budget: int
-) -> np.ndarray:
-    """All matrix tuples at d (optionally nilpotent only) in lexicographic
+def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> np.ndarray:
+    """All matrix tuples at d (nilpotent only when Q is flagged) in lexicographic
     order, as an int64 array with one row per tuple and one column per
     matrix slot (effective arrows in order, each matrix row-major). A row's
     base-q value is its position among all q^nslots tuples."""
@@ -900,7 +898,7 @@ def _enumerate_points(
         offsets.append(pos)
         pos += r * c
 
-    use_fast_nilpotent = nilpotent and (Q.jordan or Q.is_single_cycle()) and D > 0
+    use_fast_nilpotent = Q.nilpotent and (Q.jordan or Q.is_single_cycle()) and D > 0
     if use_fast_nilpotent:
         # entries of the squared block matrices before reduction
         _require_int64(layer, D * (q - 1) ** 2, "nilpotency matrix powers", d, q)
@@ -925,7 +923,7 @@ def _enumerate_points(
             digits = digits[~power.any(axis=(1, 2))]
         blocks.append(digits)
     points = np.concatenate(blocks)
-    if nilpotent and not use_fast_nilpotent and D > 0 and quiver_has_cycle(Q):
+    if Q.nilpotent and not use_fast_nilpotent and D > 0 and quiver_has_cycle(Q):
         keep = [
             _unvalidated_rep(Q, q, d, _point_mats(row, shapes))._is_nilpotent()
             for row in points
@@ -984,7 +982,7 @@ def _orbit_seeds(
     layer = "enumerate_iso_classes"
     nslots = sum(r * c for r, c in _arrow_shapes(Q, d))
     _require_int64(layer, nslots * (q - 1) ** 2, "generator images", d, q)
-    points = _enumerate_points(Q, q, d, Q.nilpotent, budget)
+    points = _enumerate_points(Q, q, d, budget)
     n_points = len(points)
     weights = np.array([q ** k for k in range(nslots - 1, -1, -1)], dtype=np.int64)
     codes = points @ weights
@@ -1035,8 +1033,10 @@ def enumerate_iso_classes(
 
     Returns (label, representative, orbit_size) triples, deterministically
     ordered. The Jordan and cyclic backends use closed-form classifications
-    (labels are partitions / tuples of partitions); force_generic bypasses
-    them for cross-checking against the orbit enumeration.
+    (labels are partitions / tuples of partitions, with m_I equal parts
+    at start vertex I): orbit size |GL_d| / a with
+    a = q^(dim End M - sum m_I^2) prod |GL_{m_I}(F_q)|. force_generic
+    bypasses them for cross-checking against the orbit enumeration.
     """
     if isinstance(d, int):
         d = (d,)
@@ -1055,29 +1055,24 @@ def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], f
 
     def enumerate_(budget: int):
         out: List[IsoClass] = []
-        if Q.jordan and not force_generic:
-            from .partitions import all_partitions, aut_poly
-
-            for la in sorted(all_partitions(d[0]), key=dominance_key):
-                rep = jordan_rep(la, q)
-                a = int(aut_poly(la).evaluate(q))
-                total = gl_order(d[0], q)
-                if total % a:  # pragma: no cover
-                    raise ConsistencyError("orbit-stabilizer division failed")
-                out.append((la, rep, total // a))
-            return 0, (out, None, None)
-        if Q.is_single_cycle() and Q.nilpotent and not force_generic:
-            reps = [(label, rep_from_cyclic_label(Q, q, label)) for label in cyclic_labels_for_dim(Q, d)]
-            # the largest automorphism scan, checked before any of them runs
-            needed = max(q ** hom_dim(rep, rep) for _, rep in reps)
-            _require_budget("enumerate_iso_classes", needed, budget, d, q)
-            for label, rep in reps:
-                a = aut_count(rep, budget)
-                total = gl_order_vec(d, q)
+        if (Q.jordan or Q.is_single_cycle() and Q.nilpotent) and not force_generic:
+            # M is a sum of uniserial chains, m_I copies of the chain I (one
+            # start vertex and length) each; End M modulo its radical is the
+            # product of the matrix rings M_{m_I}(F_q)
+            if Q.jordan:
+                labels = sorted(all_partitions(d[0]), key=dominance_key)
+            else:
+                labels = cyclic_labels_for_dim(Q, d)
+            total = gl_order_vec(d, q)
+            for label in labels:
+                rep = rep_from_label(Q, q, label)
+                mults = [la.count(part) for la in ((label,) if Q.jordan else label) for part in set(la)]
+                a = q ** (hom_dim(rep, rep) - sum(m * m for m in mults))
+                a *= math.prod(gl_order(m, q) for m in mults)
                 if total % a:  # pragma: no cover
                     raise ConsistencyError("orbit-stabilizer division failed")
                 out.append((label, rep, total // a))
-            return needed, (out, None, None)
+            return 0, (out, None, None)
         needed = _space_size(Q, q, d)
         _require_budget("enumerate_iso_classes", needed, budget, d, q)
         points, codes, seeds, sizes, owner = _orbit_seeds(Q, q, d, budget)

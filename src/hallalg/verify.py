@@ -385,7 +385,7 @@ def _point_total(Q: Quiver, q: int, d: Tuple[int, ...], budget) -> int:
         return q ** (n * n - n) if n else 1
     if Q.nilpotent and quiverrep.quiver_has_cycle(Q):
         b = budget if budget is not None else quiverrep.DEFAULT_BUDGET
-        return len(quiverrep._enumerate_points(Q, q, d, True, b))
+        return len(quiverrep._enumerate_points(Q, q, d, b))
     total = 0
     for (s, t) in Q.effective_arrows():
         total += d[s] * d[t]

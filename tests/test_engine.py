@@ -44,7 +44,8 @@ from hallalg.exactnum import (
     laurent_at_nu,
 )
 from hallalg.partitions import all_partitions, aut_poly, conjugate
-from hallalg.quiverrep import Quiver, rep_from_label
+from hallalg.quiverrep import Quiver, aut_count, enumerate_iso_classes, rep_from_label
+from hallalg.verify import suite_hopf_pairing
 
 
 def a1_quiver():
@@ -486,14 +487,47 @@ def test_quiver_backend_memoizes_representatives():
     ):
         b = QuiverAtQ(quiver, 2)
         for d in dims:
-            for lab in b.classes_of_dim(d):
-                rep = b.rep(lab)
-                assert rep == rep_from_label(quiver, 2, lab)
+            # the representative is the one the enumeration returned
+            for lab, rep, _ in enumerate_iso_classes(quiver, 2, d):
                 assert b.rep(lab) is rep
-        # the memo belongs to one backend instance
-        other = QuiverAtQ(quiver, 2)
-        lab = b.classes_of_dim(dims[0])[0]
-        assert other.rep(lab) is not b.rep(lab) and other.rep(lab) == b.rep(lab)
+                assert rep == rep_from_label(quiver, 2, lab)
+
+
+# a cycle with a tail: nilpotent, but neither Jordan nor a single cycle, so
+# its classes come from the orbit enumeration with the slow nilpotency filter
+_NILPOTENT_TAIL = Quiver(("0", "1", "2"), (("0", "1"), ("1", "0"), ("1", "2")), nilpotent=True)
+
+
+@pytest.mark.parametrize(
+    "quiver, q, total",
+    [
+        (Quiver.cyclic(2), 2, 4),
+        (Quiver.cyclic(2), 3, 3),
+        (Quiver.cyclic(3), 2, 4),
+        (Quiver.jordan_quiver(), 2, 4),
+        (Quiver.jordan_quiver(), 3, 3),
+        (Quiver.a2(), 3, 3),
+        (Quiver.kronecker(), 2, 4),
+        (_NILPOTENT_TAIL, 2, 4),
+    ],
+)
+def test_quiver_backend_aut_matches_scan(quiver, q, total):
+    # |Aut| read from the enumeration (closed form or orbit size) against
+    # the exhaustive scan of End(M), on every class up to the total dimension
+    b = QuiverAtQ(quiver, q)
+    for d in _dims_up_to(quiver.n, total):
+        for lab in b.classes_of_dim(d):
+            assert b.rep(lab) == rep_from_label(quiver, q, lab)
+            assert b.aut(lab) == QrtScalar(q, aut_count(b.rep(lab)))
+
+
+def test_hopf_pairing_a3_q3_within_default_budget():
+    # |Aut| of the class at (0,0,4) would need a 3^16-point scan, past the
+    # default budget; the enumeration's orbit sizes give it without one
+    A3 = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3")))
+    checks = suite_hopf_pairing(backend="quiver", quiver=A3, q=3, deg=4)
+    assert len(checks) == 613
+    assert all(c["status"] == "pass" for c in checks)
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,7 @@ def test_orbit_stabilizer_and_totals():
     for Q, q, d in configs:
         classes = enumerate_iso_classes(Q, q, d, force_generic=True)
         total = sum(size for _, _, size in classes)
-        assert total == len(_enumerate_points(Q, q, d, Q.nilpotent, 2 ** 24))
+        assert total == len(_enumerate_points(Q, q, d, 2 ** 24))
         if not quiver_has_cycle(Q):
             assert total == _space_size(Q, q, d)
         for _, rep, size in classes:
@@ -380,8 +380,15 @@ def test_enumerate_cyclic():
                         s for *_, s in generic
                     )
                     assert sum(s for *_, s in closed) == len(
-                        _enumerate_points(Q, q, d, True, 2 ** 24)
+                        _enumerate_points(Q, q, d, 2 ** 24)
                     )
+
+
+def test_enumerate_cyclic_past_the_aut_scan_budget():
+    # End of the zero representation at (0,0,5) has dimension 25: a scan
+    # would need 2^25 points, past the default budget, the closed form none
+    classes = enumerate_iso_classes(Quiver.cyclic(3), 2, (0, 0, 5))
+    assert [(lab, size) for lab, _, size in classes] == [(((), (), (1, 1, 1, 1, 1)), 1)]
 
 
 def _dim_vectors(n, total):
@@ -629,8 +636,6 @@ def test_budget_errors_ignore_warm_caches(monkeypatch):
     calls = [
         lambda budget: aut_count(jordan_rep((1, 1, 1), 3), budget=budget),
         lambda budget: enumerate_iso_classes(J, 2, 3, force_generic=True, budget=budget),
-        # the closed-form cyclic classes check their largest aut scan up front
-        lambda budget: enumerate_iso_classes(Quiver.cyclic(2), 2, (2, 2), budget=budget),
         lambda budget: submodule_type_table(jordan_rep((2, 2, 1), 2), budget=budget),
         lambda budget: classify_rep(kron, budget=budget),
     ]
@@ -647,7 +652,7 @@ def test_budget_errors_ignore_warm_caches(monkeypatch):
         assert str(err.value) == message
     assert aut_count(jordan_rep((1, 1, 1), 3)) == int(aut_poly((1, 1, 1)).evaluate(3))
     # classify_rep needs exactly what enumerating its dimension vector needs
-    assert cold[4] == "classify_rep at dimension vector (2, 2), q=2 needs 256 points, budget is 10"
+    assert cold[3] == "classify_rep at dimension vector (2, 2), q=2 needs 256 points, budget is 10"
     with pytest.raises(BudgetError, match="needs 256 points"):
         enumerate_iso_classes(Quiver.kronecker(), 2, (2, 2), budget=10)
 
