@@ -198,8 +198,8 @@ class QuiverAtQ:
         |Aut M| = |GL_gamma| / |orbit of M|."""
         classes = enumerate_iso_classes(self.quiver, self.q, gamma, budget=self.budget)
         gl = quiverrep.gl_order_vec(gamma, self.q)
-        data = {lab: (i, rep, gl // size) for i, (lab, rep, size) in enumerate(classes)}
-        return [lab for lab, _, _ in classes], data
+        by_label = {lab: (i, rep, gl // size) for i, (lab, rep, size) in enumerate(classes)}
+        return [lab for lab, _, _ in classes], by_label
 
     def dim_of(self, label) -> Tuple[int, ...]:
         return label_dim(self.quiver, label)
