@@ -14,7 +14,10 @@ A generic representation is classified by looking its base-q point code
 up among the enumerated points of its dimension vector, each tagged with
 its orbit; the Jordan and cyclic nilpotent backends classify by ranks and
 take each class's orbit size |GL_d| / |Aut M| from the closed form of
-|Aut M|, which aut_count's exhaustive scan checks in the tests.
+|Aut M|, which aut_count's exhaustive scan checks in the tests. That scan
+is independent of the closed forms; it tests one endomorphism per F_q^x
+line, since a nonzero multiple of an automorphism is one, and its budget
+still counts all q^dim End M points.
 aut_count, enumerate_iso_classes, classify_rep and submodule_type_table
 keep their results through one helper, _cached, which checks the budget
 on every call against the count the cold call needed.
@@ -614,6 +617,15 @@ def _coeff_digit_block(start: int, stop: int, nslots: int, p: int) -> np.ndarray
     return out
 
 
+def _low_width(k: int, p: int) -> int:
+    """How many of k scanned coefficients form the precomputed low part:
+    half of them, fewer if their combinations would not fit one block."""
+    nl = k // 2
+    while nl and p ** nl > _CHUNK:
+        nl -= 1
+    return nl
+
+
 def _count_vertexwise_invertible(
     basis: List[Tuple[Mat, ...]],
     dims: Tuple[int, ...],
@@ -622,25 +634,23 @@ def _count_vertexwise_invertible(
     layer: str,
     find_one: bool = False,
 ):
-    """Scan all F_p-combinations of the basis; count those whose every vertex
-    block is invertible (or return early whether one exists).
+    """Count the F_p-combinations of the basis whose every vertex block is
+    invertible (or return early whether one exists).
 
-    The basis splits into a high part (its first nh elements) and a low part
-    (the last nl). For each vertex, every combination of the low part is
-    precomputed mod p; a block of candidates is a block of high combinations
-    broadcast-added to all low ones, so candidates run in base-p order of
-    their coefficient vectors, at most _CHUNK at a time."""
+    For c != 0, det(c*phi_v) = c^{d_v} det(phi_v), so c*phi passes exactly
+    when phi does. The combinations whose first nonzero coefficient is at j
+    are therefore p-1 times those with that coefficient 1, the affine set
+    basis[j] + span(basis[j+1:]). Leads are peeled this way while the rest
+    spans more than one block; the rest, span(basis[j:]), is scanned whole.
+    Every point scanned is still tested by its determinants, one per F_p^x
+    line, and the budget still counts all p^nb combinations."""
     nb = len(basis)
     _require_budget(layer, p ** nb, budget, dims, p)
-    nl = nb // 2
-    while nl and p ** nl > _CHUNK:
-        nl -= 1
-    nh = nb - nl
     # digits (< p) times basis entries (< p), summed over at most nh terms
-    _require_int64(layer, max(nh, 1) * (p - 1) ** 2, "basis combination sums", dims, p)
-    n_low = p ** nl
-    low_digits = _coeff_digit_block(0, n_low, nl, p)
-    vertices = []  # (n, work dtype, high basis (nh, n*n), low combinations (n*n, n_low))
+    # (no scan of fewer coefficients has more), plus one offset entry (< p)
+    nh = nb - _low_width(nb, p)
+    _require_int64(layer, max(nh, 1) * (p - 1) ** 2 + p - 1, "basis combination sums", dims, p)
+    vertices = []  # (n, work dtype, basis entries (nb, n*n))
     for v, n in enumerate(dims):
         if n == 0:
             continue
@@ -650,16 +660,46 @@ def _count_vertexwise_invertible(
         flat = np.array(
             [[x for row in b[v] for x in row] for b in basis], dtype=np.int64
         ).reshape(nb, n * n)
-        low = ((low_digits @ flat[nh:]) % p).T.astype(dtype)
-        vertices.append((n, dtype, flat[:nh], low))
+        vertices.append((n, dtype, flat))
+    count = 0
+    lead = 0
+    while p ** (nb - lead) > _CHUNK:
+        count += (p - 1) * _scan_combinations(vertices, nb, lead + 1, lead, p, find_one)
+        if find_one and count:
+            return True
+        lead += 1
+    count += _scan_combinations(vertices, nb, lead, None, p, find_one)
+    return (count > 0) if find_one else count
+
+
+def _scan_combinations(vertices, nb: int, first: int, offset: Optional[int], p: int, find_one: bool) -> int:
+    """Count the points basis[offset] + sum_{i >= first} c_i basis[i] (no
+    offset if None) whose every vertex block is invertible; with find_one,
+    stop after the first block that has one.
+
+    The coefficients split into a high part and a low part (the last nl).
+    For each vertex every low combination, offset included, is precomputed
+    mod p; a block of candidates is a block of high combinations
+    broadcast-added to all low ones, so candidates run in base-p order of
+    their coefficient vectors, at most _CHUNK at a time."""
+    nl = _low_width(nb - first, p)
+    nh = nb - first - nl
+    n_low = p ** nl
+    low_digits = _coeff_digit_block(0, n_low, nl, p)
+    blocks = []  # (n, high basis (nh, n*n), low combinations (n*n, n_low))
+    for n, dtype, flat in vertices:
+        low = low_digits @ flat[nb - nl :]
+        if offset is not None:
+            low += flat[offset]
+        blocks.append((n, flat[first : first + nh], (low % p).T.astype(dtype)))
     step = max(1, _CHUNK // n_low)
     count = 0
     for start in range(0, p ** nh, step):
         stop = min(start + step, p ** nh)
         high_digits = _coeff_digit_block(start, stop, nh, p)
         alive = None  # candidate indices in this block still invertible so far
-        for n, dtype, high_basis, low in vertices:
-            high = ((high_digits @ high_basis) % p).T.astype(dtype)
+        for n, high_basis, low in blocks:
+            high = ((high_digits @ high_basis) % p).T.astype(low.dtype)
             cand = (high[:, :, None] + low[:, None, :]).reshape(n * n, -1)
             if alive is not None:
                 cand = cand[:, alive]
@@ -667,16 +707,18 @@ def _count_vertexwise_invertible(
             alive = np.nonzero(ok)[0] if alive is None else alive[ok]
             if not len(alive):
                 break
-        found = (stop - start) * n_low if alive is None else len(alive)
-        if find_one and found:
-            return True
-        count += found
-    return (count > 0) if find_one else count
+        count += (stop - start) * n_low if alive is None else len(alive)
+        if find_one and count:
+            break
+    return count
 
 
 def aut_count(M: QuiverRep, budget: Optional[int] = None) -> int:
     """Number of invertible intertwiners M -> M, by exhaustive scan of the
-    endomorphism space."""
+    endomorphism space, independent of the closed forms of |Aut M|. The
+    scan tests one point of each F_q^x line (a nonzero multiple of an
+    automorphism is one) and counts each q-1 times; the budget still counts
+    all q^dim End M points."""
 
     def scan(budget: int) -> Tuple[int, int]:
         if M.total_dim() == 0:
@@ -690,6 +732,10 @@ def aut_count(M: QuiverRep, budget: Optional[int] = None) -> int:
 
 
 def is_isomorphic(M: QuiverRep, N: QuiverRep, budget: Optional[int] = None) -> bool:
+    """Whether some intertwiner M -> N is invertible at every vertex, by
+    exhaustive scan of Hom(M, N) after a rank check on each arrow. The scan
+    tests one point of each F_q^x line and stops at the first hit; the
+    budget still counts all q^dim Hom(M, N) points."""
     if M.quiver != N.quiver or M.q != N.q:
         raise ValueError("comparing representations of different quivers or fields")
     if M.dims != N.dims:
@@ -1069,8 +1115,12 @@ def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], f
                 mults = [la.count(part) for la in ((label,) if Q.jordan else label) for part in set(la)]
                 a = q ** (hom_dim(rep, rep) - sum(m * m for m in mults))
                 a *= math.prod(gl_order(m, q) for m in mults)
-                if total % a:  # pragma: no cover
-                    raise ConsistencyError("orbit-stabilizer division failed")
+                if total % a:
+                    raise ConsistencyError(
+                        f"enumerate_iso_classes at dimension vector {d}, q={q}: the closed-form "
+                        f"|Aut| {a} of label {label} does not divide |GL_d| = {total} "
+                        "(orbit-stabilizer division failed)"
+                    )
                 out.append((label, rep, total // a))
             return 0, (out, None, None)
         needed = _space_size(Q, q, d)

@@ -651,6 +651,9 @@ def test_budget_errors_ignore_warm_caches(monkeypatch):
             call(10)
         assert str(err.value) == message
     assert aut_count(jordan_rep((1, 1, 1), 3)) == int(aut_poly((1, 1, 1)).evaluate(3))
+    # the automorphism scan visits one point per F_q^x line, but its budget
+    # still counts all q^dim End of them
+    assert cold[0] == "aut_count at dimension vector (3,), q=3 needs 19683 points, budget is 10"
     # classify_rep needs exactly what enumerating its dimension vector needs
     assert cold[3] == "classify_rep at dimension vector (2, 2), q=2 needs 256 points, budget is 10"
     with pytest.raises(BudgetError, match="needs 256 points"):
@@ -719,6 +722,135 @@ def test_kernel_int64_bounds_raise():
         aut_count(simple_rep(Quiver.a2(), p, 0), budget=p)
     with pytest.raises(BudgetError, match=r"enumerate_iso_classes at dimension vector \(1, 1\), q=4294967311"):
         enumerate_iso_classes(Quiver.a2(), p, (1, 1), budget=p)
+
+
+def _brute_invertible(basis, dims, q):
+    """Reference for the automorphism / isomorphism scan: every coefficient
+    vector in itertools.product order, each vertex block summed and tested
+    with a Python-int Leibniz determinant."""
+    count = 0
+    for coeffs in itertools.product(range(q), repeat=len(basis)):
+        count += all(
+            _leibniz_det(
+                [
+                    [sum(c * b[v][i][j] for c, b in zip(coeffs, basis)) % q for j in range(n)]
+                    for i in range(n)
+                ]
+            ) % q
+            for v, n in enumerate(dims)
+            if n
+        )
+    return count
+
+
+def _random_gl(n, q, rng):
+    while True:
+        g = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+        if _leibniz_det(g) % q:
+            return g
+
+
+def _random_conjugate(M, rng):
+    """g . M for a random g in GL_d: each arrow s -> t becomes g_t x g_s^-1."""
+    q = M.q
+    g = [_random_gl(n, q, rng) for n in M.dims]
+    g_inv = [_invert_mat(x, q) if x else () for x in g]
+    mats = []
+    for (s, t), x in zip(M.quiver.effective_arrows(), M.mats):
+        left = [
+            [sum(g[t][i][k] * x[k][j] for k in range(M.dims[t])) % q for j in range(M.dims[s])]
+            for i in range(M.dims[t])
+        ]
+        mats.append(
+            tuple(
+                tuple(
+                    sum(left[i][k] * g_inv[s][k][j] for k in range(M.dims[s])) % q
+                    for j in range(M.dims[s])
+                )
+                for i in range(M.dims[t])
+            )
+        )
+    return QuiverRep(M.quiver, q, M.dims, tuple(mats))
+
+
+_SCAN_ORACLE_DIMS = {
+    "a2": (Quiver.a2(), [(1, 1), (1, 2), (2, 1), (2, 2)]),
+    "kronecker": (Quiver.kronecker(), [(1, 1), (1, 2), (2, 1)]),
+    "loop": (Quiver.jordan_quiver(), [(2,), (3,), (4,)]),
+    "cyclic3": (Quiver.cyclic(3), [(1, 1, 0), (1, 1, 1), (2, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_ORACLE_DIMS))
+def test_scan_matches_brute_force(monkeypatch, name):
+    # seeded random conjugates of class representatives, paired with a
+    # conjugate of the same class or of a random one; every pair whose
+    # Hom space the brute force can afford (q^dim <= 1000) is checked at
+    # three block sizes: 1 (every lead peeled, one point a block), 8 (peeled
+    # leads over many blocks, then a one-block tail) and the default (one
+    # block, nothing peeled)
+    Q, dims = _SCAN_ORACLE_DIMS[name]
+    rng = random.Random(name)
+    cases = []
+    for q in (2, 3, 5, 7):
+        for d in dims:
+            classes = enumerate_iso_classes(Q, q, d)
+            for _ in range(3):
+                i = rng.randrange(len(classes))
+                j = i if rng.random() < 0.5 else rng.randrange(len(classes))
+                M = _random_conjugate(classes[i][1], rng)
+                N = _random_conjugate(classes[j][1], rng)
+                basis = quiverrep.hom_basis(M, N)
+                if q ** len(basis) <= 1000:
+                    cases.append((M, N, i == j, basis, _brute_invertible(basis, M.dims, q)))
+    assert len(cases) >= 20
+    assert {iso for *_, iso, _, _ in cases} == {True, False}
+    for chunk in (1, 8, quiverrep._CHUNK):
+        monkeypatch.setattr(quiverrep, "_CHUNK", chunk)
+        monkeypatch.setattr(quiverrep, "_CACHE", {})
+        for M, N, iso, basis, want in cases:
+            got = quiverrep._count_vertexwise_invertible(basis, M.dims, M.q, 3 ** 16, "test")
+            assert got == want, (M, N, chunk)
+            assert is_isomorphic(M, N) is iso is (want > 0), (M, N, chunk)
+            if iso:
+                assert aut_count(M) == _brute_invertible(quiverrep.hom_basis(M, M), M.dims, M.q)
+
+
+def test_scan_peels_leads_while_the_rest_spans_blocks(monkeypatch):
+    # one scan of basis[j] + span(basis[j+1:]) per peeled lead j, while
+    # span(basis[j:]) is larger than one block, then span(basis[J:]) whole;
+    # a scan that fits one block (every q=2 scan here) peels nothing
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    scans = []
+    scan = quiverrep._scan_combinations
+
+    def spy(vertices, nb, first, offset, p, find_one):
+        scans.append((first, offset))
+        return scan(vertices, nb, first, offset, p, find_one)
+
+    monkeypatch.setattr(quiverrep, "_scan_combinations", spy)
+    for M, want, expected in (
+        (_a2_rank1(90, 178, 251), 250 ** 2 * 251, [(1, 0), (1, None)]),
+        (jordan_rep((1, 1, 1), 5), gl_order(3, 5), [(1, 0), (2, 1), (2, None)]),
+        (jordan_rep((1, 1, 1), 2), gl_order(3, 2), [(0, None)]),
+        (jordan_rep((2, 1), 7), int(aut_poly((2, 1)).evaluate(7)), [(0, None)]),
+    ):
+        scans.clear()
+        assert aut_count(M) == want
+        assert scans == expected, M
+
+
+def test_closed_form_division_error_names_the_class(monkeypatch):
+    # a closed-form |Aut| that does not divide |GL_d| names the layer, the
+    # dimension vector, the label and q
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    monkeypatch.setattr(quiverrep, "hom_dim", lambda M, N: 5)
+    with pytest.raises(ConsistencyError) as err:
+        enumerate_iso_classes(Quiver.jordan_quiver(), 3, 1)
+    assert str(err.value) == (
+        "enumerate_iso_classes at dimension vector (1,), q=3: the closed-form |Aut| 162 "
+        "of label (1,) does not divide |GL_d| = 2 (orbit-stabilizer division failed)"
+    )
 
 
 def _act(point, vertex, g, g_inv, eff, p):
