@@ -642,8 +642,8 @@ def _count_vertexwise_invertible(
     are therefore p-1 times those with that coefficient 1, the affine set
     basis[j] + span(basis[j+1:]). Leads are peeled this way while the rest
     spans more than one block; the rest, span(basis[j:]), is scanned whole.
-    Every point scanned is still tested by its determinants, one per F_p^x
-    line, and the budget still counts all p^nb combinations."""
+    The scan stays exhaustive, testing a point of every F_p^x line by its
+    determinants, and the budget still counts all p^nb combinations."""
     nb = len(basis)
     _require_budget(layer, p ** nb, budget, dims, p)
     # digits (< p) times basis entries (< p), summed over at most nh terms
