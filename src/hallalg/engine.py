@@ -13,11 +13,20 @@ Drinfeld double cross-relation are built on top of the same backend
 protocol. This is the only implementation of the Hopf operations:
 hallalg.classical's partition-keyed functions run them on CLASSICAL.
 
+A backend gives its structure constants through hall(R, M, N), one Hall
+number G^R_MN; subtable(R), every nonzero G^R_MN of one R as {(M, N): G};
+and aut(M), |Aut M|. A product row asks hall once per R of its dimension,
+so a classical product computes only the Hall polynomials it needs; the
+coproduct and the closed antipode read whole subtables. On quivers hall
+is a lookup into subtable, which is R's submodule type table.
+
 Each backend instance keeps one memo, filled by the functions decorated
-with _memoized (product rows, coproduct terms, antipode values and classes
-of a dimension); it lives as long as the backend. On quivers the classes
-entry of a dimension vector also holds each class's index, representative
-and |Aut|, all read from its enumeration.
+with _memoized (class tables, product rows, coproduct terms, antipode
+values and classes of a dimension); it lives as long as the backend. On
+quivers the classes entry of a dimension vector also holds each class's
+index, representative and |Aut|, all read from its enumeration, and the
+memo keeps each label's dimension vector and the Euler form of each pair
+of dimension vectors asked for.
 """
 
 from __future__ import annotations
@@ -103,6 +112,20 @@ class ClassicalGeneric:
     def hall(self, R, M, N):
         # labels are canonical partitions, so skip hall_poly's normalization
         return classical._hall_poly(R, M, N)
+
+    @_memoized
+    def subtable(self, R) -> Dict:
+        """{(M, N): G^R_MN} over every split |M| + |N| = |R| whose Hall
+        polynomial is nonzero."""
+        n = sum(R)
+        table = {}
+        for m in range(n + 1):
+            for M in all_partitions(m):
+                for N in all_partitions(n - m):
+                    g = classical._hall_poly(R, M, N)
+                    if not g.is_zero():
+                        table[M, N] = g
+        return table
 
     def aut(self, label):
         return aut_poly(label)
@@ -201,6 +224,7 @@ class QuiverAtQ:
         by_label = {lab: (i, rep, gl // size) for i, (lab, rep, size) in enumerate(classes)}
         return [lab for lab, _, _ in classes], by_label
 
+    @_memoized
     def dim_of(self, label) -> Tuple[int, ...]:
         return label_dim(self.quiver, label)
 
@@ -214,18 +238,25 @@ class QuiverAtQ:
         """The class representative enumerate_iso_classes returned."""
         return self._class(label)[1]
 
+    @_memoized
+    def subtable(self, R) -> Dict:
+        """{(M, N): G^R_MN} for every nonzero entry, from R's submodule type
+        table (keyed by quotient type, then sub type)."""
+        table = quiverrep.submodule_type_table(self.rep(R), budget=self.budget)
+        return {key: QrtScalar(self.q, cnt) for key, cnt in table.items()}
+
     def hall(self, R, M, N):
-        cnt = quiverrep.count_submodules(self.rep(R), M, N, budget=self.budget)
-        return QrtScalar(self.q, cnt)
+        return self.subtable(R).get((M, N), self.zero())
 
     def aut(self, label):
         return QrtScalar(self.q, self._class(label)[2])
 
+    @_memoized
     def euler_a(self, alpha, beta) -> int:
         return quiverrep.euler_form_add(self.quiver, alpha, beta)
 
     def sym_a(self, alpha, beta) -> int:
-        return quiverrep.sym_form_add(self.quiver, alpha, beta)
+        return self.euler_a(alpha, beta) + self.euler_a(beta, alpha)
 
     def zero(self):
         return QrtScalar(self.q, 0)
@@ -473,25 +504,16 @@ def one_gamma(b, gamma) -> HallElement:
 
 @_memoized
 def _delta_basis(b, R) -> List[Tuple[object, object, object]]:
-    """Terms (M, N, coeff) of Delta([R]) without offsets applied: coeff =
-    v^<M,N> (a_M a_N / a_R) G^R_MN."""
-    dR = b.dim_of(R)
+    """Terms (M, N, coeff) of Delta([R]) without offsets applied, one per
+    nonzero entry of R's subtable: coeff = v^<M,N> (a_M a_N / a_R) G^R_MN."""
     aR = b.aut(R)
     out = []
-    for dM in _dim_splits(b, dR):
-        dN = tuple(r - m for r, m in zip(dR, dM))
-        for M in b.classes_of_dim(dM):
-            aM = b.aut(M)
-            for N in b.classes_of_dim(dN):
-                g = b.hall(R, M, N)
-                if g.is_zero():
-                    continue
-                num = aM * b.aut(N) * g
-                coeff = b.coeff_div(num, aR)
-                e = b.euler_a(dM, dN)
-                if e:
-                    coeff = coeff * b.nu_power(e)
-                out.append((M, N, coeff))
+    for (M, N), g in b.subtable(R).items():
+        coeff = b.coeff_div(b.aut(M) * b.aut(N) * g, aR)
+        e = b.euler_a(b.dim_of(M), b.dim_of(N))
+        if e:
+            coeff = coeff * b.nu_power(e)
+        out.append((M, N, coeff))
     return out
 
 
@@ -668,13 +690,9 @@ def _filtration_count(b, R, seq, memo):
     if key in memo:
         return memo[key]
     T1 = seq[0]
-    dR = b.dim_of(R)
-    dT = b.dim_of(T1)
-    dS = tuple(r - t for r, t in zip(dR, dT))
     total = b.zero()
-    for S in b.classes_of_dim(dS):
-        g = b.hall(R, T1, S)
-        if g.is_zero():
+    for (T, S), g in b.subtable(R).items():
+        if T != T1:
             continue
         inner = _filtration_count(b, S, seq[1:], memo)
         if not inner.is_zero():

@@ -25,6 +25,7 @@ on every call against the count the cold call needed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -1224,11 +1225,14 @@ def _subspace_arrays(d: int, k: int, p: int, dtype) -> Tuple[np.ndarray, np.ndar
     return np.concatenate(bases), np.repeat(np.array(orders, dtype=np.intp), counts, axis=0)
 
 
+@functools.lru_cache(maxsize=16)
 def _vertex_subspaces(d: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All subspaces of F_p^d, dimension 0 to d in turn: (E (S, d, d), the
     matrix whose row c_i is the i-th RREF basis row, c_i the i-th pivot,
     and whose other rows are zero, so that v - vE reduces v against the
-    subspace; the columns in pivot-first order (S, d); the dimensions (S,))."""
+    subspace; the columns in pivot-first order (S, d); the dimensions (S,)).
+    Every table of the same (d, p, dtype) reads them, so the last few are
+    kept, read-only."""
     mats, orders, kdims = [], [], []
     for k in range(d + 1):
         basis, order = _subspace_arrays(d, k, p, dtype)
@@ -1237,7 +1241,10 @@ def _vertex_subspaces(d: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray, np
         mats.append(e)
         orders.append(order)
         kdims.append(np.full(len(basis), k))
-    return np.concatenate(mats), np.concatenate(orders), np.concatenate(kdims)
+    out = np.concatenate(mats), np.concatenate(orders), np.concatenate(kdims)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _submodule_dtype(dims: Sequence[int], p: int):

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hallalg
-from hallalg import engine
-from hallalg.classical import GenericHallElement, _view, ibasis_in_elementary, to_symfun
+from hallalg import engine, quiverrep
+from hallalg.classical import GenericHallElement, _view, hall_poly, ibasis_in_elementary, to_symfun
 from hallalg.engine import (
     ClassicalGeneric,
     HallElement,
@@ -933,3 +933,163 @@ def test_hopf_pairing_on_random_quiver_elements(data, b):
     xy = TensorElement(b, {(kx, ky): cx * cy for kx, cx in x.terms.items()
                            for ky, cy in y.terms.items()})
     assert pairing(b, multiply(b, x, y), z) == pairing_tensor(b, xy, comultiply(b, z))
+
+
+# ---------------------------------------------------------------------------
+# subtables: the engine's one source of Hall numbers
+# ---------------------------------------------------------------------------
+
+_A3 = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3")))
+_SUBTABLE_CASES = (
+    (Quiver.a2(), 3, 3),
+    (Quiver.kronecker(), 2, 3),
+    (Quiver.cyclic(2), 2, 4),
+    (_A3, 2, 4),
+)
+
+
+def _quiver_classes_up_to(b, total):
+    return [R for t in range(total + 1) for d in _dims_up_to(b.quiver.n, t)
+            if sum(d) == t for R in b.classes_of_dim(d)]
+
+
+def _delta_by_splits(b, R, hall, euler):
+    """Delta([R]) terms as {(M, N): coeff}, from every (M, N) pair of every
+    dimension split of R, with Hall numbers from hall(R, M, N) and the
+    Euler form from euler(dM, dN)."""
+    dR = b.dim_of(R)
+    out = {}
+    for dM in _splits(dR):
+        dN = tuple(r - m for r, m in zip(dR, dM))
+        for M in b.classes_of_dim(dM):
+            for N in b.classes_of_dim(dN):
+                g = hall(R, M, N)
+                if g.is_zero():
+                    continue
+                coeff = b.coeff_div(b.aut(M) * b.aut(N) * g, b.aut(R))
+                e = euler(dM, dN)
+                out[M, N] = coeff * b.nu_power(e) if e else coeff
+    return out
+
+
+@pytest.mark.parametrize("Q, q, total", _SUBTABLE_CASES, ids=["a2", "kronecker", "cyclic2", "a3"])
+def test_quiver_subtable_matches_count_submodules(Q, q, total):
+    # the subtable holds exactly the nonzero submodule counts, and the
+    # coproduct read from it is the one a scan of every split gives
+    b = QuiverAtQ(Q, q)
+
+    def hall(R, M, N):
+        return QrtScalar(q, quiverrep.count_submodules(b.rep(R), M, N))
+
+    def euler(alpha, beta):
+        return quiverrep.euler_form_add(Q, alpha, beta)
+
+    for R in _quiver_classes_up_to(b, total):
+        want = {}
+        for dM in _splits(b.dim_of(R)):
+            dN = tuple(r - m for r, m in zip(b.dim_of(R), dM))
+            for M in b.classes_of_dim(dM):
+                for N in b.classes_of_dim(dN):
+                    g = hall(R, M, N)
+                    if not g.is_zero():
+                        want[M, N] = g
+        assert b.subtable(R) == want, R
+        got = engine._delta_basis(b, R)
+        assert len(got) == len(want)
+        assert {(M, N): c for M, N, c in got} == _delta_by_splits(b, R, hall, euler), R
+
+
+def test_classical_subtable_matches_hall_poly():
+    b = ClassicalGeneric()
+    parts = [la for n in range(7) for la in all_partitions(n)]
+    for R in parts:
+        table = b.subtable(R)
+        assert all(not g.is_zero() for g in table.values())
+        for M in parts:
+            for N in parts:
+                assert table.get((M, N), LaurentPoly.zero()) == hall_poly(R, M, N), (R, M, N)
+        got = engine._delta_basis(b, R)
+        assert len(got) == len(table)
+        assert {(M, N): c for M, N, c in got} == _delta_by_splits(
+            b, R, hall_poly, lambda alpha, beta: 0
+        ), R
+
+
+def test_engine_reads_no_single_submodule_counts(monkeypatch):
+    # products, coproducts and both antipodes take their Hall numbers from
+    # whole subtables, never from count_submodules
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_submodules called")
+
+    monkeypatch.setattr(quiverrep, "count_submodules", refuse)
+    b = QuiverAtQ(Quiver.cyclic(2), 2)
+    for R in _quiver_classes_up_to(b, 3):
+        x = HallElement.basis(b, R)
+        assert antipode(b, x) == antipode_closed(b, x)
+        multiply(b, x, x)
+        comultiply(b, x)
+
+
+# ---------------------------------------------------------------------------
+# Hopf axioms on random sparse classical elements up to weight 5, with
+# Laurent coefficients; the classical Hall algebra is commutative and
+# cocommutative.
+# ---------------------------------------------------------------------------
+
+_CLASSICAL = ClassicalGeneric()
+_classical_settings = settings(max_examples=50, derandomize=True, database=None, deadline=None)
+_laurent_coeffs = st.dictionaries(
+    st.integers(-2, 2), st.integers(-3, 3).filter(bool), min_size=1, max_size=2
+).map(LaurentPoly)
+
+
+@st.composite
+def _classical_elem(draw, max_weight):
+    """One to three partitions of weight at most max_weight, not
+    necessarily of one weight, with nonzero Laurent coefficients."""
+    labels = draw(st.lists(
+        st.sampled_from([la for n in range(max_weight + 1) for la in all_partitions(n)]),
+        min_size=1, max_size=3, unique=True,
+    ))
+    return HallElement(_CLASSICAL, {(la, ()): draw(_laurent_coeffs) for la in labels})
+
+
+@st.composite
+def _classical_pair(draw):
+    """(x, y) with their weights summing to at most 5."""
+    wx = draw(st.integers(0, 5))
+    return draw(_classical_elem(wx)), draw(_classical_elem(5 - wx))
+
+
+@_classical_settings
+@given(_classical_elem(5))
+def test_antipode_axioms_on_random_classical_elements(x):
+    b = _CLASSICAL
+    want = HallElement.one(b).scale(counit(b, x))
+    assert _convolution(b, x, True) == want
+    assert _convolution(b, x, False) == want
+    assert antipode_inv(b, antipode(b, x)) == x
+
+
+@_classical_settings
+@given(_classical_pair(), st.data())
+def test_pairing_adjoint_on_random_classical_elements(pair, data):
+    # (xy, z) = (x (x) y, Delta(z)) for z supported on the weights of xy
+    b = _CLASSICAL
+    x, y = pair
+    xy = multiply(b, x, y)
+    weights = sorted({sum(la) for la, _ in xy.terms} or {0})
+    z = data.draw(_classical_elem(data.draw(st.sampled_from(weights))))
+    xy_t = TensorElement(b, {(kx, ky): cx * cy for kx, cx in x.terms.items()
+                             for ky, cy in y.terms.items()})
+    assert pairing(b, xy, z) == pairing_tensor(b, xy_t, comultiply(b, z))
+
+
+@_classical_settings
+@given(_classical_pair())
+def test_classical_commutative_and_cocommutative(pair):
+    b = _CLASSICAL
+    x, y = pair
+    assert multiply(b, x, y) == multiply(b, y, x)
+    t = comultiply(b, x + y)
+    assert TensorElement(b, {(r, l): c for (l, r), c in t.terms.items()}) == t

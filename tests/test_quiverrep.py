@@ -554,6 +554,32 @@ def test_submodule_table_past_int64():
     assert _submodule_dtype((3, 1), 2 ** 31 - 1) is object
 
 
+def test_vertex_subspaces_built_once_read_only(monkeypatch):
+    # tables of one (d, p, dtype) share one read-only copy of the subspace
+    # arrays; a budget too small for a table fails before any is built
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    quiverrep._vertex_subspaces.cache_clear()
+    R = jordan_rep((2, 2, 1), 2)
+    with pytest.raises(BudgetError) as cold:
+        submodule_type_table(R, budget=3)
+    assert quiverrep._vertex_subspaces.cache_info().currsize == 0
+    first = quiverrep._vertex_subspaces(5, 2, np.int64)
+    assert all(a is b for a, b in zip(first, quiverrep._vertex_subspaces(5, 2, np.int64)))
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert submodule_type_table(R) == _submodule_table_brute(R)
+    assert submodule_type_table(jordan_rep((3, 2), 2)) == _submodule_table_brute(jordan_rep((3, 2), 2))
+    assert quiverrep._vertex_subspaces.cache_info().currsize == 1
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    with pytest.raises(BudgetError) as warm:
+        submodule_type_table(R, budget=3)
+    assert str(warm.value) == str(cold.value) == (
+        "submodule_type_table at dimension vector (5,), q=2 needs 374 subspace tuples, budget is 3"
+    )
+
+
 def test_hereditary_euler_identity():
     # weighted submodule counts recover q^(-<M,N>) exactly
     q = 2
