@@ -83,6 +83,7 @@ class ClassicalGeneric:
         self._memo: Dict = {}
 
     # labels and grading
+    @_memoized
     def zero_label(self):
         return ()
 
@@ -195,6 +196,7 @@ class QuiverAtQ:
         self.name = f"quiver(q={q})"
         self._memo: Dict = {}
 
+    @_memoized
     def zero_label(self):
         return self.classes_of_dim((0,) * self.quiver.n)[0]
 

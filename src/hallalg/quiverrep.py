@@ -8,7 +8,9 @@ labelling, the automorphism / isomorphism scan, and the submodule stability
 test with its sub / quotient matrices. The first three check that their
 fixed-width intermediates stay inside their dtype for the given q and size;
 the submodule kernel switches to Python-int arrays where int64 would not
-hold them.
+hold them. numpy is imported on the first call into one of these kernels
+(the module global `np` starts as a stand-in), so importing this module,
+and every classical path, never loads it.
 
 A generic representation is classified by looking its base-q point code
 up among the enumerated points of its dimension vector, each tagged with
@@ -32,14 +34,27 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exactnum import BudgetError, ConsistencyError, is_prime
 from .partitions import Partition, all_partitions, as_partition, dominance_key
 
 Mat = Tuple[Tuple[int, ...], ...]
 
 DEFAULT_BUDGET = 2 ** 24
+
+
+class _DeferredNumpy:
+    """Stands in for numpy until a kernel first reads an attribute of `np`;
+    that read imports numpy and rebinds the module global `np` to it."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _DeferredNumpy()
 
 
 # ---------------------------------------------------------------------------

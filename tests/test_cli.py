@@ -4,9 +4,13 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hallalg
 from hallalg.cli import main
 from hallalg.quiverrep import Quiver
 
@@ -216,3 +220,54 @@ def test_render_tensor_scalar_times_unit_factor():
     t = comultiply_plain(b, prod)
     assert render_tensor(t).startswith("14 (x) [c0@(3,0)]")
     assert latex_tensor(t).startswith(r"14 \otimes ")
+
+
+GOLDENS = Path(__file__).resolve().parents[1] / "hallbench" / "goldens" / "cli"
+
+# a fresh interpreter: classical requests, then one quiver request; prints
+# {"numpy after ...": bool, "stdout": {...}} as JSON
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import hallalg.cli
+
+seen, outs = {}, {}
+seen["import"] = "numpy" in sys.modules
+for name, argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert hallalg.cli.main(argv) == 0, name
+    outs[name] = buf.getvalue()
+    seen[name] = "numpy" in sys.modules
+print(json.dumps({"numpy": seen, "stdout": outs}))
+"""
+
+
+def test_classical_requests_leave_numpy_unloaded(a2_path):
+    # numpy loads on the first call into a quiverrep kernel, so starting the
+    # CLI and every classical request of the benchmark's cli mix skip it
+    requests = [
+        ("hallpoly-latex", ["hallpoly", "[3,2,1]", "[2,1]", "[2,1]", "--format", "latex"]),
+        ("mult-classical", ["mult", "[1]*[2,1]*[1]", "--backend", "classical"]),
+        ("comult-classical-latex",
+         ["comult", "[3,1]", "--backend", "classical", "--format", "latex"]),
+        ("antipode-classical-csv",
+         ["antipode", "[2,2]", "--backend", "classical", "--format", "csv"]),
+        ("verify-green", ["verify", "green", "--deg", "4"]),
+        ("mult-quiver", ["mult", "c0@(1,0)*c0@(0,1)*c0@(1,0)", "--backend", "quiver",
+                         "--quiver", a2_path, "--q", "3"]),
+    ]
+    env = dict(os.environ)
+    src = str(Path(hallalg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(requests)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    got = json.loads(proc.stdout)
+    assert got["numpy"] == {
+        "import": False, "hallpoly-latex": False, "mult-classical": False,
+        "comult-classical-latex": False, "antipode-classical-csv": False,
+        "verify-green": False, "mult-quiver": True,
+    }
+    for name, _ in requests:
+        assert got["stdout"][name] == (GOLDENS / f"{name}.out").read_text(), name
