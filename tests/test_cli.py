@@ -224,21 +224,21 @@ def test_render_tensor_scalar_times_unit_factor():
 
 GOLDENS = Path(__file__).resolve().parents[1] / "hallbench" / "goldens" / "cli"
 
-# a fresh interpreter: classical requests, then one quiver request; prints
-# {"numpy after ...": bool, "stdout": {...}} as JSON
+# runs the requests in order in a fresh interpreter and prints, as JSON,
+# whether numpy was loaded after the import and after each request, and each
+# request's exit code and stdout
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 import hallalg.cli
 
-seen, outs = {}, {}
-seen["import"] = "numpy" in sys.modules
+seen, outs = {"import": "numpy" in sys.modules}, {}
 for name, argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert hallalg.cli.main(argv) == 0, name
-    outs[name] = buf.getvalue()
+        code = hallalg.cli.main(argv)
+    outs[name] = [code, buf.getvalue()]
     seen[name] = "numpy" in sys.modules
-print(json.dumps({"numpy": seen, "stdout": outs}))
+print(json.dumps({"numpy": seen, "out": outs}))
 """
 
 
@@ -270,4 +270,4 @@ def test_classical_requests_leave_numpy_unloaded(a2_path):
         "verify-green": False, "mult-quiver": True,
     }
     for name, _ in requests:
-        assert got["stdout"][name] == (GOLDENS / f"{name}.out").read_text(), name
+        assert got["out"][name] == [0, (GOLDENS / f"{name}.out").read_text()], name
