@@ -5,9 +5,11 @@ representations of cyclic quivers and of the one-loop Jordan backend),
 counts submodules, automorphisms, and Hom spaces. All counts are exact
 integers. numpy serves four brute-force kernels: point enumeration, orbit
 labelling, the automorphism / isomorphism scan, and the submodule stability
-test with its sub / quotient matrices. The first three check that their
-fixed-width intermediates stay inside their dtype for the given q and size;
-the submodule kernel switches to Python-int arrays where int64 would not
+test with its sub / quotient matrices. The first three check, from q and
+the size, that their fixed-width intermediates fit their dtype, and most
+take the narrowest dtype that does (_int_dtype); the orbit enumeration works on fixed-size sub-chunks, so its memory is what it
+keeps (uint8 digits, int32 permutations), not its temporaries. The
+submodule kernel switches to Python-int arrays where int64 would not
 hold them. numpy is imported on the first call into one of these kernels
 (the module global `np` starts as a stand-in), so importing this module,
 and every classical path, never loads it.
@@ -545,14 +547,17 @@ def _cached(layer: str, key, budget: Optional[int], dims, q: int, compute, unit:
     return hit[1]
 
 
-def _require_int64(layer: str, worst: int, what: str, dims, q: int) -> None:
-    """Raise unless `worst`, the largest magnitude a kernel's `what` can
-    reach, fits int64: the numpy kernels are exact only inside that range."""
-    if worst > np.iinfo(np.int64).max:
-        raise BudgetError(
-            f"{layer} at dimension vector {tuple(dims)}, q={q}: {what} can reach "
-            f"{worst}, past the int64 range of the numpy kernel"
-        )
+def _int_dtype(layer: str, worst: int, what: str, dims, q: int):
+    """The narrowest of int16, int32 and int64 that holds `worst`, the
+    largest magnitude a kernel's `what` can reach; past int64 raise, since
+    the numpy kernels are exact only inside that range."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if worst <= np.iinfo(dtype).max:
+            return dtype
+    raise BudgetError(
+        f"{layer} at dimension vector {tuple(dims)}, q={q}: {what} can reach "
+        f"{worst}, past the int64 range of the numpy kernel"
+    )
 
 
 def _perm_signs(n: int) -> List[Tuple[Tuple[int, ...], int]]:
@@ -622,11 +627,16 @@ def _batch_dets_mod(a: np.ndarray, n: int, p: int) -> np.ndarray:
 
 
 _CHUNK = 1 << 17
+# matrix entries per sub-chunk of the orbit enumeration's nilpotency test
+# and generator images, so their temporaries stay a fixed size
+_SUBCHUNK = 1 << 16
 
 
-def _coeff_digit_block(start: int, stop: int, nslots: int, p: int) -> np.ndarray:
+def _coeff_digit_block(start: int, stop: int, nslots: int, p: int, dtype) -> np.ndarray:
+    """The base-p digits of start..stop-1, one row each, most significant
+    first, written straight into a `dtype` array (which must hold p-1)."""
     idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, nslots), dtype=np.int64)
+    out = np.empty((stop - start, nslots), dtype=dtype)
     for pos in range(nslots):
         out[:, nslots - 1 - pos] = idx % p
         idx = idx // p
@@ -665,14 +675,12 @@ def _count_vertexwise_invertible(
     # digits (< p) times basis entries (< p), summed over at most nh terms
     # (no scan of fewer coefficients has more), plus one offset entry (< p)
     nh = nb - _low_width(nb, p)
-    _require_int64(layer, max(nh, 1) * (p - 1) ** 2 + p - 1, "basis combination sums", dims, p)
+    _int_dtype(layer, max(nh, 1) * (p - 1) ** 2 + p - 1, "basis combination sums", dims, p)
     vertices = []  # (n, work dtype, basis entries (nb, n*n))
     for v, n in enumerate(dims):
         if n == 0:
             continue
-        worst = _det_worst(n, p)[1]
-        _require_int64(layer, worst, f"{n}x{n} determinant terms", dims, p)
-        dtype = next(dt for dt in (np.int16, np.int32, np.int64) if worst <= np.iinfo(dt).max)
+        dtype = _int_dtype(layer, _det_worst(n, p)[1], f"{n}x{n} determinant terms", dims, p)
         flat = np.array(
             [[x for row in b[v] for x in row] for b in basis], dtype=np.int64
         ).reshape(nb, n * n)
@@ -701,7 +709,7 @@ def _scan_combinations(vertices, nb: int, first: int, offset: Optional[int], p: 
     nl = _low_width(nb - first, p)
     nh = nb - first - nl
     n_low = p ** nl
-    low_digits = _coeff_digit_block(0, n_low, nl, p)
+    low_digits = _coeff_digit_block(0, n_low, nl, p, np.int64)
     blocks = []  # (n, high basis (nh, n*n), low combinations (n*n, n_low))
     for n, dtype, flat in vertices:
         low = low_digits @ flat[nb - nl :]
@@ -712,7 +720,7 @@ def _scan_combinations(vertices, nb: int, first: int, offset: Optional[int], p: 
     count = 0
     for start in range(0, p ** nh, step):
         stop = min(start + step, p ** nh)
-        high_digits = _coeff_digit_block(start, stop, nh, p)
+        high_digits = _coeff_digit_block(start, stop, nh, p, np.int64)
         alive = None  # candidate indices in this block still invertible so far
         for n, high_basis, low in blocks:
             high = ((high_digits @ high_basis) % p).T.astype(low.dtype)
@@ -943,55 +951,58 @@ def _arrow_shapes(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[int, int]]:
 
 def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> np.ndarray:
     """All matrix tuples at d (nilpotent only when Q is flagged) in lexicographic
-    order, as an int64 array with one row per tuple and one column per
-    matrix slot (effective arrows in order, each matrix row-major). A row's
-    base-q value is its position among all q^nslots tuples."""
+    order, one row per tuple and one column per matrix slot (effective
+    arrows in order, each matrix row-major), as uint8 digits when q <= 256
+    and int64 ones above. A row's base-q value is its position among all
+    q^nslots tuples."""
     layer = "enumerate_iso_classes"
     eff = Q.effective_arrows()
     shapes = _arrow_shapes(Q, d)
     nslots = sum(r * c for r, c in shapes)
     space = q ** nslots
     _require_budget(layer, space, budget, d, q)
-    _require_int64(layer, space - 1, "point codes", d, q)
+    _int_dtype(layer, space - 1, "point codes", d, q)
+    digit_dtype = np.uint8 if q <= 256 else np.int64
     D = sum(d)
-    offsets = []
-    pos = 0
-    for r, c in shapes:
-        offsets.append(pos)
-        pos += r * c
-
     use_fast_nilpotent = Q.nilpotent and (Q.jordan or Q.is_single_cycle()) and D > 0
-    if use_fast_nilpotent:
-        # entries of the squared block matrices before reduction
-        _require_int64(layer, D * (q - 1) ** 2, "nilpotency matrix powers", d, q)
-    vert_off = [sum(d[:v]) for v in range(Q.n)]
+    if not use_fast_nilpotent:
+        points = np.empty((space, nslots), dtype=digit_dtype)
+        for start in range(0, space, _CHUNK):
+            stop = min(start + _CHUNK, space)
+            points[start:stop] = _coeff_digit_block(start, stop, nslots, q, digit_dtype)
+        if Q.nilpotent and D > 0 and quiver_has_cycle(Q):
+            keep = [
+                _unvalidated_rep(Q, q, d, _point_mats(row, shapes))._is_nilpotent()
+                for row in points
+            ]
+            points = points[np.array(keep, dtype=bool)]
+        return points
 
+    # single path structure per (i,j,k): the block-matrix power test is
+    # exact for the jordan loop and the single cycle; entries of the squared
+    # block matrices reach D (q-1)^2 before reduction
+    work = _int_dtype(layer, D * (q - 1) ** 2, "nilpotency matrix powers", d, q)
+    rows = max(1, _SUBCHUNK // (D * D))
+    steps = max(1, int(np.ceil(np.log2(max(D, 2)))))
+    vert_off = [sum(d[:v]) for v in range(Q.n)]
     blocks = []
     for start in range(0, space, _CHUNK):
         stop = min(start + _CHUNK, space)
-        digits = _coeff_digit_block(start, stop, nslots, q)
-        if use_fast_nilpotent:
-            # single path structure per (i,j,k): the block-matrix power test
-            # is exact for the jordan loop and the single cycle
-            big = np.zeros((stop - start, D, D), dtype=np.int64)
-            for (srcdst, (rr, cc), off) in zip(eff, shapes, offsets):
-                s, t = srcdst
-                blk = digits[:, off : off + rr * cc].reshape(stop - start, rr, cc)
-                big[:, vert_off[t] : vert_off[t] + rr, vert_off[s] : vert_off[s] + cc] = blk
-            power = big
-            steps = max(1, int(np.ceil(np.log2(max(D, 2)))))
+        digits = _coeff_digit_block(start, stop, nslots, q, digit_dtype)
+        keep = np.empty(stop - start, dtype=bool)
+        for a in range(0, stop - start, rows):
+            sub = digits[a : a + rows]
+            power = np.zeros((len(sub), D, D), dtype=work)
+            off = 0
+            for (s, t), (rr, cc) in zip(eff, shapes):
+                blk = sub[:, off : off + rr * cc].reshape(len(sub), rr, cc)
+                power[:, vert_off[t] : vert_off[t] + rr, vert_off[s] : vert_off[s] + cc] = blk
+                off += rr * cc
             for _ in range(steps):
                 power = np.matmul(power, power) % q
-            digits = digits[~power.any(axis=(1, 2))]
-        blocks.append(digits)
-    points = np.concatenate(blocks)
-    if Q.nilpotent and not use_fast_nilpotent and D > 0 and quiver_has_cycle(Q):
-        keep = [
-            _unvalidated_rep(Q, q, d, _point_mats(row, shapes))._is_nilpotent()
-            for row in points
-        ]
-        points = points[np.array(keep, dtype=bool)]
-    return points
+            keep[a : a + rows] = ~power.any(axis=(1, 2))
+        blocks.append(digits[keep])
+    return np.concatenate(blocks)
 
 
 def _point_mats(row: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> Tuple[Mat, ...]:
@@ -1034,38 +1045,66 @@ def _generator_matrix(Q: Quiver, d: Tuple[int, ...], vertex: int, g: Mat, g_inv:
     return out
 
 
+def _point_rows(codes: Optional[np.ndarray], n_points: int, image):
+    """Row indices of the points whose base-q codes are `image` (an
+    array), or None if one of them is not a point. codes is None for an
+    unfiltered enumeration, whose codes are its rows 0..n_points-1."""
+    if codes is None:
+        return image if 0 <= image.min() and image.max() < n_points else None
+    pos = np.minimum(np.searchsorted(codes, image), n_points - 1)
+    return pos if np.array_equal(codes[pos], image) else None
+
+
 def _orbit_seeds(
     Q: Quiver, q: int, d: Tuple[int, ...], budget: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Orbits of GL_d on the points of _enumerate_points: (points, their
-    base-q codes, seed row indices, orbit sizes, orbit index of each point),
-    seeds increasing. A seed is the lex-least row of its orbit, found by
-    min-label propagation over the generators with pointer jumping."""
+    base-q codes or None when every tuple is a point (a code is then its
+    row), seed row indices, orbit sizes, orbit index of each point), seeds
+    increasing. A seed is the lex-least row of its orbit, found by
+    min-label propagation over the generators with pointer jumping.
+    Codes are in the narrowest dtype that holds q^nslots - 1, and
+    generator permutations, labels and orbit indices in the one that holds
+    the point count; images are formed _SUBCHUNK matrix entries at a time."""
     layer = "enumerate_iso_classes"
     nslots = sum(r * c for r, c in _arrow_shapes(Q, d))
-    _require_int64(layer, nslots * (q - 1) ** 2, "generator images", d, q)
+    # digits (< q) times generator entries (< q), summed over nslots terms
+    image_dtype = _int_dtype(layer, nslots * (q - 1) ** 2, "generator images", d, q)
     points = _enumerate_points(Q, q, d, budget)
     n_points = len(points)
-    weights = np.array([q ** k for k in range(nslots - 1, -1, -1)], dtype=np.int64)
-    codes = points @ weights
+    space = q ** nslots
+    code_dtype = _int_dtype(layer, space - 1, "point codes", d, q)
+    index_dtype = _int_dtype(layer, n_points - 1, "point indices", d, q)
+    weights = np.array([q ** k for k in range(nslots - 1, -1, -1)], dtype=code_dtype)
+    rows = max(1, _SUBCHUNK // max(1, nslots))
+    codes = None
+    if n_points < space:
+        codes = np.empty(n_points, dtype=code_dtype)
+        for a in range(0, n_points, rows):
+            codes[a : a + rows] = points[a : a + rows] @ weights
+    eye = np.eye(nslots, dtype=image_dtype)
     perms = []  # perm[i] = row index of the image of row i under one generator
     for v in range(Q.n):
         for g in _gl_generators(d[v], q):
-            act_t = _generator_matrix(Q, d, v, g, _invert_mat(g, q), q).T
-            image = np.concatenate(
-                [
-                    ((points[a : a + _CHUNK] @ act_t) % q) @ weights
-                    for a in range(0, n_points, _CHUNK)
-                ]
-            )
-            pos = np.minimum(np.searchsorted(codes, image), n_points - 1)
-            if not np.array_equal(codes[pos], image):
-                raise ConsistencyError(
-                    f"{layer} at dimension vector {d}, q={q}: a generator maps an "
-                    "enumerated point outside the point set"
-                )
-            perms.append(pos)
-    labels = np.arange(n_points)
+            act_t = _generator_matrix(Q, d, v, g, _invert_mat(g, q), q).T.astype(image_dtype)
+            # a code changes only at the slots g moves: by (new - old digit)
+            # times their weights, in all at most q^nslots - 1 either way
+            moved = np.flatnonzero((act_t != eye).any(axis=0))
+            act_t, moved_weights = act_t[:, moved], weights[moved]
+            perm = np.empty(n_points, dtype=index_dtype)
+            for a in range(0, n_points, rows):
+                block = points[a : a + rows]
+                image = np.arange(a, a + len(block)) if codes is None else codes[a : a + rows]
+                image = image + ((block @ act_t) % q - block[:, moved]) @ moved_weights
+                pos = _point_rows(codes, n_points, image)
+                if pos is None:
+                    raise ConsistencyError(
+                        f"{layer} at dimension vector {d}, q={q}: a generator maps an "
+                        "enumerated point outside the point set"
+                    )
+                perm[a : a + rows] = pos
+            perms.append(perm)
+    labels = np.arange(n_points, dtype=index_dtype)
     while True:
         before = labels.copy()
         for perm in perms:
@@ -1076,8 +1115,12 @@ def _orbit_seeds(
                 break
             labels = jumped
         if np.array_equal(labels, before):
-            seeds, owner, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-            return points, codes, seeds, sizes, owner
+            break
+    # every label is now its orbit's seed, the one row it labels itself
+    is_seed = labels == np.arange(n_points, dtype=index_dtype)
+    seeds = np.flatnonzero(is_seed)
+    owner = (np.cumsum(is_seed, dtype=index_dtype) - 1)[labels]
+    return points, codes, seeds, np.bincount(owner, minlength=len(seeds)), owner
 
 
 IsoClass = Tuple[object, QuiverRep, int]  # (label, representative, orbit size)
@@ -1112,8 +1155,8 @@ def enumerate_iso_classes(
 
 def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], force_generic: bool = False):
     """enumerate_iso_classes's cached value: (classes, point codes, class
-    index of each point). Only the orbit enumeration fills the two arrays
-    (else None)."""
+    index of each point), as _orbit_seeds gives them; codes is None when
+    every tuple is a point, and both are None on the closed-form branch."""
 
     def enumerate_(budget: int):
         out: List[IsoClass] = []
@@ -1179,8 +1222,8 @@ def classify_rep(M: QuiverRep, budget: Optional[int] = None):
         for row in itertools.chain.from_iterable(M.mats):
             for x in row:
                 code = code * q + x
-        pos = int(np.searchsorted(codes, code))
-        if pos == len(codes) or codes[pos] != code:
+        pos = _point_rows(codes, len(owner), np.asarray(code))
+        if pos is None:
             raise ConsistencyError(
                 f"classify_rep at dimension vector {M.dims}, q={q}: the representation "
                 "is not among the enumerated points"
@@ -1233,7 +1276,7 @@ def _subspace_arrays(d: int, k: int, p: int, dtype) -> Tuple[np.ndarray, np.ndar
         block[:, range(k), piv] = 1
         if free:
             rows, cols = zip(*free)
-            block[:, rows, cols] = _coeff_digit_block(0, count, len(free), p).astype(dtype)
+            block[:, rows, cols] = _coeff_digit_block(0, count, len(free), p, dtype)
         bases.append(block)
         orders.append(piv + tuple(j for j in range(d) if j not in piv))
         counts.append(count)

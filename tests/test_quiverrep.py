@@ -3,6 +3,7 @@ Hom/Aut counting, submodule tables."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -748,6 +749,79 @@ def test_kernel_int64_bounds_raise():
         aut_count(simple_rep(Quiver.a2(), p, 0), budget=p)
     with pytest.raises(BudgetError, match=r"enumerate_iso_classes at dimension vector \(1, 1\), q=4294967311"):
         enumerate_iso_classes(Quiver.a2(), p, (1, 1), budget=p)
+
+
+def test_int_dtype_is_the_narrowest_that_holds_the_bound():
+    pick = quiverrep._int_dtype
+    assert pick("layer", 32767, "sums", (1,), 2) is np.int16
+    assert pick("layer", 32768, "sums", (1,), 2) is np.int32
+    assert pick("layer", 2 ** 31, "sums", (1,), 2) is np.int64
+    assert pick("layer", 2 ** 63 - 1, "sums", (1,), 2) is np.int64
+    with pytest.raises(
+        BudgetError,
+        match=r"^layer at dimension vector \(1,\), q=2: sums can reach 9223372036854775808, "
+        r"past the int64 range of the numpy kernel$",
+    ):
+        pick("layer", 2 ** 63, "sums", (1,), 2)
+
+
+@pytest.mark.parametrize("q, dtype", [(2, np.uint8), (3, np.uint8), (251, np.uint8), (257, np.int64)])
+def test_point_digits_are_uint8_up_to_q_256(q, dtype):
+    # A2 at (1,1) has one slot: its points are the digits of 0..q-1
+    points = _enumerate_points(Quiver.a2(), q, (1, 1), 2 ** 24)
+    assert points.dtype == dtype
+    assert np.array_equal(points, quiverrep._coeff_digit_block(0, q, 1, q, np.int64))
+
+
+def test_generic_jordan_in_sub_chunks_matches_closed_form(monkeypatch):
+    # 3^9 candidate 3x3 matrices in blocks of 1000 rows and nilpotency
+    # sub-chunks of 11, and 3^6 nilpotent points imaged 11 rows at a time:
+    # no block size divides its row count (test_enumerate_jordan_generic_
+    # crosscheck runs the same case at the default sizes)
+    monkeypatch.setattr(quiverrep, "_CHUNK", 1000)
+    monkeypatch.setattr(quiverrep, "_SUBCHUNK", 100)
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    J = Quiver.jordan_quiver()
+    generic = enumerate_iso_classes(J, 3, 3, force_generic=True)
+    closed = enumerate_iso_classes(J, 3, 3)
+    assert sorted((jordan_type(rep), size) for _, rep, size in generic) == sorted(
+        (lab, size) for lab, _, size in closed
+    )
+    assert sum(size for *_, size in generic) == 3 ** 6
+
+
+def test_unfiltered_enumeration_keeps_no_codes(monkeypatch):
+    # every Kronecker tuple is a point, so a point's code is its row; a
+    # filtered (nilpotent) enumeration keeps its codes, increasing
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    K = Quiver.kronecker()
+    classes, codes, owner = quiverrep._iso_classes(K, 2, (2, 2), None)
+    assert codes is None and owner.dtype == np.int16 and len(owner) == 2 ** 8
+    assert np.bincount(owner).tolist() == [size for *_, size in classes]
+    for label, rep, _ in classes:
+        assert classify_rep(rep) == label
+    # a code past the last point (entry 2 at q=2) is refused, not wrapped
+    bad = _unvalidated_rep(K, 2, (1, 1), (((2,),), ((0,),)))
+    with pytest.raises(ConsistencyError, match="not among the enumerated points"):
+        classify_rep(bad)
+    _, codes, owner = quiverrep._iso_classes(Quiver.jordan_quiver(), 2, (3,), None, force_generic=True)
+    assert codes.dtype == np.int16 and len(codes) == len(owner) == 2 ** 6
+    assert (np.diff(codes) > 0).all()
+
+
+def test_orbit_enumeration_working_set_is_bounded():
+    # loop(4) at q=2 scans 2^16 candidate matrices for 2^12 nilpotent
+    # points: a uint8 digit block and fixed sub-chunks peak near 2 MB, where
+    # int64 arrays over every candidate at once would take 40 MB
+    J = Quiver.jordan_quiver()
+    quiverrep._orbit_seeds(J, 2, (2,), 2 ** 24)
+    tracemalloc.start()
+    try:
+        quiverrep._orbit_seeds(J, 2, (4,), 2 ** 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def _brute_invertible(basis, dims, q):
