@@ -10,7 +10,7 @@ the size, that their fixed-width intermediates fit their dtype, and most
 take the narrowest dtype that does (_int_dtype); the orbit enumeration works on fixed-size sub-chunks, so its memory is what it
 keeps (uint8 digits, int32 permutations), not its temporaries. The
 submodule kernel switches to Python-int arrays where int64 would not
-hold them. numpy is imported on the first call into one of these kernels
+hold them, and classifies each distinct sub and quotient of a chunk once. numpy is imported on the first call into one of these kernels
 (the module global `np` starts as a stand-in), so importing this module,
 and every classical path, never loads it.
 
@@ -33,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -1305,6 +1306,18 @@ def _vertex_subspaces(d: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray, np
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _corner_masks(d_s: int, d_t: int) -> np.ndarray:
+    """(d_s + 1, d_t + 1, 2, d_t, d_s) uint8, read-only: at [k_s, k_t], the
+    0/1 masks of a d_t x d_s block's bottom right (d_t - k_t) x (d_s - k_s)
+    corner, then of its top left k_t x k_s one."""
+    rows = np.arange(d_t)[None, None, :, None] < np.arange(d_t + 1)[None, :, None, None]
+    cols = np.arange(d_s)[None, None, None, :] < np.arange(d_s + 1)[:, None, None, None]
+    out = np.stack([~rows & ~cols, rows & cols], axis=2).astype(np.uint8)
+    out.setflags(write=False)
+    return out
+
+
 def _submodule_dtype(dims: Sequence[int], p: int):
     """Array dtype of submodule_type_table at these dimensions: before
     reduction its products reach max(d) (p-1)^2, so int64 while that fits
@@ -1326,7 +1339,13 @@ def submodule_type_table(
     tuples run in itertools.product order; for those stable under every
     arrow, the sub matrix is I read at (U_s pivots, U_t pivots) and the
     quotient matrix X^T (1 - E_t), X's columns reduced against U_t, read at
-    (U_s non-pivots, U_t non-pivots), both transposed."""
+    (U_s non-pivots, U_t non-pivots), both transposed.
+
+    Each chunk of stable tuples writes its subs and quotients as byte keys
+    (uint8 entries while q <= 256), and classify_rep runs once per distinct
+    key, in the order the tuples meet them, quotient before sub; so the
+    budget, the first BudgetError and the table's key order are those of
+    classifying every tuple in turn."""
     return _cached(
         "submodule_type_table", R, budget, R.dims, R.q, lambda b: _submodule_table(R, b), "subspace tuples"
     )
@@ -1357,6 +1376,16 @@ def _submodule_table(R: QuiverRep, budget: int) -> Tuple[int, Dict[Tuple[object,
             img = (subs[s][i_s] @ xt) % p
             ok[pairs] = ((img @ subs[t][i_t]) % p == img).all(axis=(1, 2))
         tables.append(ok.reshape(shape))
+    # a key row: a tag (0 quotient, 1 sub), the sub's dimension vector k,
+    # then each arrow's pivot-first block with the entries outside the
+    # quotient's (sub's) corner zeroed, so equal rows are equal reps
+    worst = max(p - 1, max(dims))
+    key_dtype = np.uint8 if worst <= 255 else _int_dtype(
+        "submodule_type_table", worst, "sub and quotient key entries", dims, p
+    )
+    width = 1 + len(dims) + sum(dims[s] * dims[t] for s, t in eff)
+    void = np.dtype((np.void, width * np.dtype(key_dtype).itemsize))
+    labels: Dict[bytes, object] = {}
     table: Dict[Tuple[object, object], int] = {}
     for start in range(0, total_tuples, step):
         idx = np.unravel_index(
@@ -1368,7 +1397,13 @@ def _submodule_table(R: QuiverRep, budget: int) -> Tuple[int, Dict[Tuple[object,
         if not ok.any():
             continue
         idx = [i[ok] for i in idx]
-        blocks = []
+        n = len(idx[0])
+        ks = np.stack([k[i] for k, i in zip(kdims, idx)], axis=1)
+        # rows 2r and 2r+1 of keys are the r-th stable tuple's quotient and sub
+        keys = np.empty((n, 2, width), dtype=key_dtype)
+        keys[:, :, 0] = (0, 1)
+        keys[:, :, 1 : 1 + len(dims)] = ks[:, None, :]
+        off = 1 + len(dims)
         for (s, t), xt in zip(eff, xts):
             e_s, e_t = subs[s][idx[s]], subs[t][idx[t]]
             img = (e_s @ xt) % p
@@ -1379,19 +1414,40 @@ def _submodule_table(R: QuiverRep, budget: int) -> Tuple[int, Dict[Tuple[object,
             # the quotient matrix the bottom right one
             both = np.where(np.diagonal(e_s, axis1=1, axis2=2)[:, :, None] == 1, img, red)
             rows, cols = orders[s][idx[s]][:, :, None], orders[t][idx[t]][:, None, :]
-            both = both[np.arange(len(both))[:, None, None], rows, cols]
-            blocks.append(both.transpose(0, 2, 1).tolist())
-        sub_dims = np.stack([k[i] for k, i in zip(kdims, idx)], axis=1).tolist()
-        for r, ks in enumerate(sub_dims):
-            sub, quo = [], []
-            for (s, t), m in zip(eff, blocks):
-                sub.append(tuple(tuple(row[: ks[s]]) for row in m[r][: ks[t]]))
-                quo.append(tuple(tuple(row[ks[s] :]) for row in m[r][ks[t] :]))
-            sub_rep = _unvalidated_rep(Q, p, tuple(ks), tuple(sub))
-            quo_rep = _unvalidated_rep(Q, p, tuple(d - k for d, k in zip(dims, ks)), tuple(quo))
-            key = (classify_rep(quo_rep, budget=budget), classify_rep(sub_rep, budget=budget))
-            table[key] = table.get(key, 0) + 1
+            both = both[np.arange(n)[:, None, None], rows, cols].transpose(0, 2, 1)
+            size = dims[s] * dims[t]
+            corners = _corner_masks(dims[s], dims[t])[ks[:, s], ks[:, t]]
+            keys[:, :, off : off + size] = (both[:, None] * corners).reshape(n, 2, size)
+            off += size
+        flat = keys.reshape(2 * n, width)
+        # classify each distinct key once, in the order the tuples meet them
+        # (quotient before sub), so the first BudgetError is the per-tuple one
+        row_keys = flat.view(void).ravel().tolist()
+        for i, row_key in enumerate(row_keys):
+            if row_key not in labels:
+                labels[row_key] = classify_rep(_key_rep(Q, p, dims, flat[i]), budget=budget)
+        for (quo, sub), count in Counter(zip(row_keys[::2], row_keys[1::2])).items():
+            pair = (labels[quo], labels[sub])
+            table[pair] = table.get(pair, 0) + count
     return total_tuples, table
+
+
+def _key_rep(Q: Quiver, p: int, dims: Tuple[int, ...], key: np.ndarray) -> QuiverRep:
+    """The sub (tag 1) or quotient (tag 0) of R that a key row of
+    _submodule_table stands for: its corner of each arrow's block."""
+    vals = key.tolist()
+    ks = vals[1 : 1 + len(dims)]
+    if not vals[0]:
+        ks = [d - k for d, k in zip(dims, ks)]
+    mats = []
+    off = 1 + len(dims)
+    for s, t in Q.effective_arrows():
+        # the quotient's corner starts at row d_t - k_t, column d_s - k_s
+        w = dims[s]
+        first = off if vals[0] else off + (dims[t] - ks[t]) * w + w - ks[s]
+        mats.append(tuple(tuple(vals[first + i * w : first + i * w + ks[s]]) for i in range(ks[t])))
+        off += w * dims[t]
+    return _unvalidated_rep(Q, p, tuple(ks), tuple(mats))
 
 
 def count_submodules(

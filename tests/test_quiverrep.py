@@ -2,6 +2,7 @@
 Hom/Aut counting, submodule tables."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -121,18 +122,21 @@ def _sub_and_quotient(R, selection):
     return sub, quo
 
 
-def _submodule_table_brute(R):
-    """Reference submodule table: every tuple of vertexwise subspaces in
+def _stable_splits(R):
+    """(sub, quotient) of every stable tuple of vertexwise subspaces, in
     itertools.product order, tested and split one tuple at a time."""
     per_vertex = [
         [sub for k in range(d + 1) for sub in _subspaces(d, k, R.q)] for d in R.dims
     ]
+    splits = (_sub_and_quotient(R, selection) for selection in itertools.product(*per_vertex))
+    return [sq for sq in splits if sq is not None]
+
+
+def _submodule_table_brute(R):
+    """Reference submodule table: the stable tuples classified one at a
+    time, keys in the order the tuples first meet them."""
     table = {}
-    for selection in itertools.product(*per_vertex):
-        sq = _sub_and_quotient(R, selection)
-        if sq is None:
-            continue
-        sub, quo = sq
+    for sub, quo in _stable_splits(R):
         key = (classify_rep(quo, budget=3 ** 16), classify_rep(sub, budget=3 ** 16))
         table[key] = table.get(key, 0) + 1
     return table
@@ -535,9 +539,56 @@ def _submodule_cases():
 
 
 def test_submodule_table_matches_brute():
-    # the numpy kernel gives the per-tuple reference's table, keys and counts
+    # the numpy kernel gives the per-tuple reference's table: keys, counts
+    # and the order the keys were first met in
     for name, rep in _submodule_cases():
-        assert submodule_type_table(rep, budget=3 ** 16) == _submodule_table_brute(rep), name
+        table = submodule_type_table(rep, budget=3 ** 16)
+        assert list(table.items()) == list(_submodule_table_brute(rep).items()), name
+
+
+def test_submodule_table_classifies_each_distinct_split_once(monkeypatch):
+    # one classify_rep call per distinct sub and per distinct quotient;
+    # every table here is one chunk of the kernel
+    reps = [rep for _, rep, _ in enumerate_iso_classes(Quiver.kronecker(), 2, (2, 3))]
+    reps += [jordan_rep(la, 2) for la in all_partitions(6)]
+    expect = []
+    for R in reps:
+        assert math.prod(sum(subspace_count(d, k, 2) for k in range(d + 1)) for d in R.dims) <= (
+            quiverrep._CHUNK // max(R.dims) ** 2
+        )
+        subs, quos = zip(*_stable_splits(R))
+        expect.append(len(set(subs)) + len(set(quos)))
+    calls = []
+    classify = quiverrep.classify_rep
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    monkeypatch.setattr(quiverrep, "classify_rep", lambda M, budget=None: calls.append(M) or classify(M, budget))
+    made = []
+    for R in reps:
+        calls.clear()
+        submodule_type_table(R)
+        made.append(len(calls))
+    assert made == expect
+    # a call per split of each stable tuple would be 9926
+    assert sum(made) == 1021
+
+
+def test_submodule_table_first_budget_error(monkeypatch):
+    # the kernel classifies in the order the per-tuple loop meets the
+    # splits, quotient before sub, so the first error is that loop's: here
+    # the quotient by the zero sub is R itself at (2, 3), not a (2, 2) sub
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    R = enumerate_iso_classes(Quiver.kronecker(), 2, (2, 3))[5][1]
+    message = "classify_rep at dimension vector (2, 3), q=2 needs 4096 points, budget is 100"
+    with pytest.raises(BudgetError) as cold:
+        submodule_type_table(R, budget=100)
+    assert str(cold.value) == message
+    # warm: every class of R's subs and quotients enumerated at the default budget
+    for d in _dim_vectors(2, 5):
+        if d[0] <= 2 and d[1] <= 3:
+            enumerate_iso_classes(Quiver.kronecker(), 2, d)
+    with pytest.raises(BudgetError) as warm:
+        submodule_type_table(R, budget=100)
+    assert str(warm.value) == message
 
 
 def test_submodule_table_past_int64():
@@ -553,6 +604,12 @@ def test_submodule_table_past_int64():
     # the int64 bound max(d) (p-1)^2 at the Mersenne prime 2^31 - 1
     assert _submodule_dtype((0, 2), 2 ** 31 - 1) is np.int64
     assert _submodule_dtype((3, 1), 2 ** 31 - 1) is object
+    # the sub and quotient keys hold entries below q in int64 at most; the
+    # kernel refuses a modulus past that before it classifies anything
+    # (a prime that large takes is_prime's trial division too long to build)
+    big = _unvalidated_rep(Quiver.jordan_quiver(), 2 ** 63 + 29, (1,), (((0,),),))
+    with pytest.raises(BudgetError, match="key entries can reach 9223372036854775836, past the int64"):
+        submodule_type_table(big)
 
 
 def test_vertex_subspaces_built_once_read_only(monkeypatch):
