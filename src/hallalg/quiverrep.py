@@ -1436,18 +1436,17 @@ def _key_rep(Q: Quiver, p: int, dims: Tuple[int, ...], key: np.ndarray) -> Quive
     """The sub (tag 1) or quotient (tag 0) of R that a key row of
     _submodule_table stands for: its corner of each arrow's block."""
     vals = key.tolist()
-    ks = vals[1 : 1 + len(dims)]
-    if not vals[0]:
-        ks = [d - k for d, k in zip(dims, ks)]
+    is_sub, ks = vals[0], vals[1 : 1 + len(dims)]
+    rdims = ks if is_sub else [d - k for d, k in zip(dims, ks)]
     mats = []
     off = 1 + len(dims)
     for s, t in Q.effective_arrows():
-        # the quotient's corner starts at row d_t - k_t, column d_s - k_s
+        # the sub's corner starts at (0, 0), the quotient's at (k_t, k_s)
         w = dims[s]
-        first = off if vals[0] else off + (dims[t] - ks[t]) * w + w - ks[s]
-        mats.append(tuple(tuple(vals[first + i * w : first + i * w + ks[s]]) for i in range(ks[t])))
+        first = off if is_sub else off + ks[t] * w + ks[s]
+        mats.append(tuple(tuple(vals[first + i * w : first + i * w + rdims[s]]) for i in range(rdims[t])))
         off += w * dims[t]
-    return _unvalidated_rep(Q, p, tuple(ks), tuple(mats))
+    return _unvalidated_rep(Q, p, tuple(rdims), tuple(mats))
 
 
 def count_submodules(

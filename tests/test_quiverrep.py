@@ -560,8 +560,13 @@ def test_submodule_table_classifies_each_distinct_split_once(monkeypatch):
         expect.append(len(set(subs)) + len(set(quos)))
     calls = []
     classify = quiverrep.classify_rep
+
+    def counted(M, budget=None):
+        calls.append(M)
+        return classify(M, budget)
+
     monkeypatch.setattr(quiverrep, "_CACHE", {})
-    monkeypatch.setattr(quiverrep, "classify_rep", lambda M, budget=None: calls.append(M) or classify(M, budget))
+    monkeypatch.setattr(quiverrep, "classify_rep", counted)
     made = []
     for R in reps:
         calls.clear()
