@@ -611,7 +611,8 @@ def test_submodule_table_past_int64():
     assert _submodule_dtype((3, 1), 2 ** 31 - 1) is object
     # the sub and quotient keys hold entries below q in int64 at most; the
     # kernel refuses a modulus past that before it classifies anything
-    # (a prime that large takes is_prime's trial division too long to build)
+    # (2^63 + 29 need not be prime: is_prime's trial division would take
+    # too long to build a representation at a prime that large)
     big = _unvalidated_rep(Quiver.jordan_quiver(), 2 ** 63 + 29, (1,), (((0,),),))
     with pytest.raises(BudgetError, match="key entries can reach 9223372036854775836, past the int64"):
         submodule_type_table(big)
