@@ -2,7 +2,11 @@
 
 Basis elements [I_la] are indexed by partitions; structure constants are the
 Hall polynomials P^nu_{mu,la}(t), computed exactly by expanding elementary
-products and inverting the unitriangular change of basis. This module also
+products and inverting the unitriangular change of basis. Each product
+[I_mu][I_la] is computed once, as its whole row {nu: P^nu_{mu,la}}. The
+algebra is commutative, so the factor written in the elementary products is
+the lighter one, and the inverse expansion is needed only up to half the
+degree of nu. This module also
 holds the symmetric-function picture (elementary basis, Newton power sums,
 Hall-Littlewood style inner product).
 
@@ -169,20 +173,36 @@ def hall_poly(nu: Partition, mu: Partition, la: Partition) -> LaurentPoly:
     return _hall_poly(as_partition(nu), as_partition(mu), as_partition(la))
 
 
-@cache
 def _hall_poly(nu: Partition, mu: Partition, la: Partition) -> LaurentPoly:
-    """hall_poly on canonical partition tuples."""
-    if weight(nu) != weight(mu) + weight(la):
+    """hall_poly on canonical partition tuples: an entry of the product row
+    of [I_mu][I_la]. The algebra is commutative (P^nu_{mu,la} =
+    P^nu_{la,mu}, by duality), so the row read is the one whose right
+    factor is the lighter of mu and la."""
+    w_mu, w_la = weight(mu), weight(la)
+    if weight(nu) != w_mu + w_la:
         return L.zero()
-    expr = ibasis_in_elementary(weight(la))
-    total = L.zero()
-    for kappa, c in expr[la].items():
-        prod = _mu_times_x(mu, kappa)
-        if nu in prod:
-            total = total + c * prod[nu]
-    if not total.is_zero() and not total.is_polynomial():
-        raise ConsistencyError(f"Hall polynomial {(nu, mu, la)} has negative t-exponents")
-    return total
+    if w_la > w_mu:
+        mu, la = la, mu
+    return _product_row(mu, la).get(nu, L.zero())
+
+
+@cache
+def _product_row(mu: Partition, la: Partition) -> Dict[Partition, LaurentPoly]:
+    """[I_mu][I_la] = sum_nu P^nu_{mu,la} [I_nu], as {nu: P} over the
+    nonzero terms: [I_la] written in the X_kappa products, each multiplied
+    onto [I_mu] by columns."""
+    row: Dict[Partition, LaurentPoly] = {}
+    for kappa, c in ibasis_in_elementary(weight(la))[la].items():
+        for nu, p in _mu_times_x(mu, kappa).items():
+            acc = row.get(nu, L.zero()) + c * p
+            if acc.is_zero():
+                row.pop(nu, None)
+            else:
+                row[nu] = acc
+    for nu, p in row.items():
+        if not p.is_polynomial():
+            raise ConsistencyError(f"Hall polynomial {(nu, mu, la)} has negative t-exponents")
+    return row
 
 
 # ---------------------------------------------------------------------------

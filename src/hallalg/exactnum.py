@@ -20,15 +20,41 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed the configured resource budget."""
 
 
+# the first 13 primes; no composite below _MR_LIMIT is a strong probable
+# prime to all of them (Sorenson and Webster 2015), while the least such
+# composite for the first 12 is 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 @functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin below _MR_LIMIT, trial division above."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        d = _MR_BASES[-1] + 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -6,6 +6,7 @@ A partition is a tuple of weakly decreasing positive ints, () for empty.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ge
 from typing import Dict, List, Tuple
 
 from .exactnum import ConsistencyError, LaurentPoly
@@ -24,8 +25,9 @@ def is_partition(parts) -> bool:
 
 
 def as_partition(seq) -> Partition:
-    p = tuple(int(x) for x in seq)
-    if not is_partition(p):
+    p = tuple(map(int, seq))
+    # the parts are ints now, so is_partition's checks reduce to these two
+    if p and (p[-1] <= 0 or not all(map(ge, p, p[1:]))):
         raise ValueError(f"not a partition (need weakly decreasing positive parts): {seq!r}")
     return p
 

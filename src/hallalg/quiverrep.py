@@ -24,7 +24,8 @@ line, since a nonzero multiple of an automorphism is one, and its budget
 still counts all q^dim End M points.
 aut_count, enumerate_iso_classes, classify_rep and submodule_type_table
 keep their results through one helper, _cached, which checks the budget
-on every call against the count the cold call needed.
+on every call against the count the cold call needed. A table also keeps
+the classify_rep needs its cold build met, and checks them on every call.
 """
 
 from __future__ import annotations
@@ -1346,13 +1347,22 @@ def submodule_type_table(
     key, in the order the tuples meet them, quotient before sub; so the
     budget, the first BudgetError and the table's key order are those of
     classifying every tuple in turn."""
-    return _cached(
+    budget = DEFAULT_BUDGET if budget is None else budget
+    needs, table = _cached(
         "submodule_type_table", R, budget, R.dims, R.q, lambda b: _submodule_table(R, b), "subspace tuples"
     )
+    # a warm table makes no classify_rep call, so check what the cold
+    # build's calls needed, in the order it met them: the first that
+    # exceeds the budget is the one a cold build would raise
+    for dims, points in needs:
+        _require_budget("classify_rep", points, budget, dims, R.q)
+    return table
 
 
-def _submodule_table(R: QuiverRep, budget: int) -> Tuple[int, Dict[Tuple[object, object], int]]:
-    """(subspace tuples scanned, submodule_type_table(R))."""
+def _submodule_table(R: QuiverRep, budget: int):
+    """(subspace tuples scanned, (the classify_rep needs that rose above
+    every earlier one, as (dims, points) in the order met,
+    submodule_type_table(R)))."""
     p = R.q
     total_tuples = 1
     for d in R.dims:
@@ -1386,6 +1396,7 @@ def _submodule_table(R: QuiverRep, budget: int) -> Tuple[int, Dict[Tuple[object,
     width = 1 + len(dims) + sum(dims[s] * dims[t] for s, t in eff)
     void = np.dtype((np.void, width * np.dtype(key_dtype).itemsize))
     labels: Dict[bytes, object] = {}
+    needs: List[Tuple[Tuple[int, ...], int]] = []
     table: Dict[Tuple[object, object], int] = {}
     for start in range(0, total_tuples, step):
         idx = np.unravel_index(
@@ -1425,11 +1436,17 @@ def _submodule_table(R: QuiverRep, budget: int) -> Tuple[int, Dict[Tuple[object,
         row_keys = flat.view(void).ravel().tolist()
         for i, row_key in enumerate(row_keys):
             if row_key not in labels:
-                labels[row_key] = classify_rep(_key_rep(Q, p, dims, flat[i]), budget=budget)
+                M = _key_rep(Q, p, dims, flat[i])
+                labels[row_key] = classify_rep(M, budget=budget)
+                # the points classify_rep's cold call needed; one no larger
+                # than an earlier need is never the first to exceed a budget
+                need = _CACHE["classify_rep", M][0]
+                if need > (needs[-1][1] if needs else 0):
+                    needs.append((M.dims, need))
         for (quo, sub), count in Counter(zip(row_keys[::2], row_keys[1::2])).items():
             pair = (labels[quo], labels[sub])
             table[pair] = table.get(pair, 0) + count
-    return total_tuples, table
+    return total_tuples, (tuple(needs), table)
 
 
 def _key_rep(Q: Quiver, p: int, dims: Tuple[int, ...], key: np.ndarray) -> QuiverRep:

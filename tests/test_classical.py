@@ -8,9 +8,12 @@ import pytest
 
 from hallalg.exactnum import LaurentPoly, RationalFunction
 from hallalg.partitions import all_partitions, aut_poly, weight
+from hallalg import classical
 from hallalg.classical import (
     GenericHallElement,
     _column_row,
+    _mu_times_x,
+    _product_row,
     SymFun,
     antipode_generic,
     comult_generic,
@@ -21,6 +24,7 @@ from hallalg.classical import (
     hall_poly,
     hall_poly_col,
     hl_pairing,
+    ibasis_in_elementary,
     mult_generic,
     newton_p_in_e,
     to_symfun,
@@ -94,13 +98,45 @@ def test_hall_poly_goldens():
     assert hall_poly((2,), (2,), (1,)) == L.zero()
 
 
+def _hall_poly_ref(nu, mu, la):
+    """P^nu_{mu,la} with la expanded in the X_kappa products whatever its
+    size: sum over kappa of c_{la,kappa} ([I_mu] X_kappa)[nu]. hall_poly
+    expands the lighter factor, so this is its oracle for either order."""
+    total = L.zero()
+    for kappa, c in ibasis_in_elementary(weight(la))[la].items():
+        total = total + c * _mu_times_x(mu, kappa).get(nu, L.zero())
+    return total
+
+
 def test_hall_poly_symmetry_small():
     for n in range(5):
         for nu in all_partitions(n):
             for k in range(n + 1):
                 for mu in all_partitions(k):
                     for la in all_partitions(n - k):
-                        assert hall_poly(nu, mu, la) == hall_poly(nu, la, mu)
+                        p = _hall_poly_ref(nu, mu, la)
+                        assert p == _hall_poly_ref(nu, la, mu)
+                        assert hall_poly(nu, mu, la) == p == hall_poly(nu, la, mu)
+
+
+def test_hall_table_expands_only_the_lighter_factor(monkeypatch):
+    # each product row expands its lighter factor, so the degree-8 table
+    # never inverts the elementary expansion past degree 4
+    _product_row.cache_clear()
+    degrees = []
+    expand = classical.ibasis_in_elementary
+
+    def recorded(n):
+        degrees.append(n)
+        return expand(n)
+
+    monkeypatch.setattr(classical, "ibasis_in_elementary", recorded)
+    for k in range(9):
+        for nu in all_partitions(8):
+            for mu in all_partitions(k):
+                for la in all_partitions(8 - k):
+                    hall_poly(nu, mu, la)
+    assert max(degrees) == 4
 
 
 def test_mult_goldens_small_rank():
@@ -305,12 +341,15 @@ def test_column_rows_match_brute_scan():
 
 
 def test_degree_9_table_symmetric_and_polynomial():
+    # both orders of every pair of factors meet the oracle, which expands
+    # the right factor even when it is the heavier one
     count = 0
     for k in range(10):
         for nu in all_partitions(9):
             for mu in all_partitions(k):
                 for la in all_partitions(9 - k):
                     p = hall_poly(nu, mu, la)
+                    assert p == _hall_poly_ref(nu, mu, la)
                     assert p == hall_poly(nu, la, mu)
                     assert p.is_polynomial()
                     count += 1

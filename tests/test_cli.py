@@ -197,11 +197,13 @@ def test_dominance_cross_check_exit_code(monkeypatch):
     import hallalg.classical
     import hallalg.partitions
 
-    # run the cross-check cold: a cached expansion would skip it
-    for fn in ("elementary_expansion", "ibasis_in_elementary", "_hall_poly"):
+    # run the cross-check cold: a cached expansion would skip it. The
+    # product row expands its lighter factor, which must have weight >= 2
+    # for the elementary expansion to compare two partitions
+    for fn in ("elementary_expansion", "ibasis_in_elementary", "_product_row"):
         getattr(hallalg.classical, fn).cache_clear()
     monkeypatch.setattr(hallalg.partitions, "conjugate", lambda la: tuple(la))
-    code, out, err = run(["hallpoly", "(2,1)", "(1)", "(1,1)"])
+    code, out, err = run(["hallpoly", "(2,2)", "(1,1)", "(1,1)"])
     assert code == 4
     assert out == ""
     assert "disagree" in err

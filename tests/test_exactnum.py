@@ -1,6 +1,7 @@
 """Exact arithmetic layer: Laurent polynomials, rational functions, Q(sqrt q)."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -530,6 +531,28 @@ def test_laurent_at_nu():
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # Miller-Rabin against trial division
+    for n in range(-2, 10 ** 5):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+    # strong pseudoprimes to the bases 2; 2..7; 2..23; 2..37
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 63 + 29)
+    assert not is_prime(2 ** 63 + 27)
+    # past the Miller-Rabin limit, trial division finds a small factor
+    assert not is_prime(53 ** 15)
+
+
+def test_is_prime_against_sympy():
+    # sympy is a test oracle only: odd n of every bit length up to the
+    # Miller-Rabin limit (just above 2^81; trial division past it would not
+    # finish), and the last prime below that limit
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    ns = [rng.randrange(2 ** (b - 1), 2 ** b) | 1 for b in range(2, 82) for _ in range(20)]
+    ns.append(int(sympy.prevprime(3317044064679887385961981)))
+    for n in ns:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_qfact_plus_degree():

@@ -1,5 +1,6 @@
 """Partition layer: generation, conjugation, dominance, automorphism orders."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,23 @@ def test_validation():
             as_partition(bad)
     assert not is_partition([1, 3])
     assert is_partition((5, 5, 2))
+
+
+def test_as_partition_accepts_what_is_partition_accepts():
+    # as_partition checks its int tuple directly; it must agree with
+    # is_partition on that tuple, message included
+    for n in range(5):
+        for parts in itertools.product((-1, 0, 1, 2, 3), repeat=n):
+            for seq in (parts, list(parts), [str(x) for x in parts], [x + 0.5 for x in parts]):
+                ints = tuple(int(x) for x in seq)
+                if is_partition(ints):
+                    assert as_partition(seq) == ints
+                else:
+                    with pytest.raises(ValueError) as err:
+                        as_partition(seq)
+                    assert str(err.value) == (
+                        f"not a partition (need weakly decreasing positive parts): {seq!r}"
+                    )
 
 
 def test_all_partitions_counts():

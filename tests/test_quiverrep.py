@@ -594,6 +594,12 @@ def test_submodule_table_first_budget_error(monkeypatch):
     with pytest.raises(BudgetError) as warm:
         submodule_type_table(R, budget=100)
     assert str(warm.value) == message
+    # warm table: built at the default budget, it needs only 80 subspace
+    # tuples, but its cold build's classify_rep calls still count
+    assert len(submodule_type_table(R)) == 18
+    with pytest.raises(BudgetError) as warm:
+        submodule_type_table(R, budget=100)
+    assert str(warm.value) == message
 
 
 def test_submodule_table_past_int64():
@@ -611,9 +617,8 @@ def test_submodule_table_past_int64():
     assert _submodule_dtype((3, 1), 2 ** 31 - 1) is object
     # the sub and quotient keys hold entries below q in int64 at most; the
     # kernel refuses a modulus past that before it classifies anything
-    # (2^63 + 29 need not be prime: is_prime's trial division would take
-    # too long to build a representation at a prime that large)
-    big = _unvalidated_rep(Quiver.jordan_quiver(), 2 ** 63 + 29, (1,), (((0,),),))
+    # (2^63 + 29 is the least prime above 2^63)
+    big = jordan_rep((1,), 2 ** 63 + 29)
     with pytest.raises(BudgetError, match="key entries can reach 9223372036854775836, past the int64"):
         submodule_type_table(big)
 
