@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
+from operator import ge
 from typing import Dict, Optional, Tuple
 
 from . import engine  # engine imports this module back; read its names at call time
@@ -92,12 +94,23 @@ def hall_poly_col(nu: Partition, mu: Partition, r: int) -> LaurentPoly:
 @cache
 def _column_row(sigma: Partition, r: int) -> Tuple[Tuple[Partition, LaurentPoly], ...]:
     """The nonzero P^tau_{sigma,(1^r)}, as (tau, polynomial) pairs in
-    all_partitions order; tau runs over the vertical r-strips added to sigma."""
+    all_partitions order. tau runs over the vertical r-strips added to
+    sigma, one box in each of r distinct rows (Macdonald II (4.6)), and
+    each of them must have a nonzero polynomial."""
+    padded = sigma + (0,) * r
+    strips = []
+    for rows in combinations(range(len(padded)), r):
+        tau = list(padded)
+        for i in rows:
+            tau[i] += 1
+        if all(map(ge, tau, tau[1:])):
+            strips.append(tuple(p for p in tau if p))
     row = []
-    for tau in all_partitions(weight(sigma) + r):
+    for tau in sorted(strips, reverse=True):
         p = hall_poly_col(tau, sigma, r)
-        if not p.is_zero():
-            row.append((tau, p))
+        if p.is_zero():
+            raise ConsistencyError(f"vertical strip {tau} over {sigma} has P = 0")
+        row.append((tau, p))
     return tuple(row)
 
 

@@ -420,53 +420,68 @@ def balanced_qbinomial(m: int, n: int) -> LaurentPoly:
 
 
 def _poly_content(p: LaurentPoly) -> int:
-    g = 0
-    for _, v in p.items():
-        g = math.gcd(g, abs(v))
-    return g if g else 1
+    return math.gcd(*p._c.values()) or 1
+
+
+def _dense(p: LaurentPoly) -> list:
+    """The coefficient list of an honest polynomial, index = exponent."""
+    f = [0] * (p.degree() + 1)
+    for e, v in p._c.items():
+        f[e] = v
+    return f
+
+
+def _primitive(f: list) -> list:
+    """A dense integer coefficient list divided by its content."""
+    c = math.gcd(*f)
+    return f if c <= 1 else [v // c for v in f]
+
+
+def _pseudo_rem(f: list, g: list) -> list:
+    """A nonzero integer multiple of the remainder of f by g, on dense
+    coefficient lists (index = exponent, no zero top entry); [] when g
+    divides f. Each step scales the running remainder by lc(g) / h and
+    subtracts lc / h times a shift of g, with h = gcd(lc, lc(g)), so the
+    top entry cancels in integers."""
+    r = list(f)
+    m = len(g) - 1
+    gl = g[-1]
+    while len(r) > m:
+        rl = r.pop()
+        k = len(r) - m
+        h = math.gcd(rl, gl)
+        x, y = gl // h, rl // h
+        if x != 1:
+            r = [x * v for v in r]
+        for i in range(m):
+            r[k + i] -= y * g[i]
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Primitive gcd of honest integer polynomials, positive leading coeff."""
+    """gcd of two honest integer polynomials (no negative exponent), made
+    primitive (content 1) with a positive leading coefficient: the gcd in
+    Q[t], scaled to its unique primitive form. If one argument is zero, the
+    other is returned as it is.
+
+    Euclid over Z by primitive pseudo-remainders on dense coefficient
+    lists: each remainder is divided by its content, so the coefficients
+    stay small and no Fraction is built. A pseudo-remainder is the true
+    remainder times a nonzero rational, which the content division and the
+    final sign take out again.
+    """
     if a.is_zero():
         return b
     if b.is_zero():
         return a
-    fa = {e: Fraction(v) for e, v in a.items()}
-    fb = {e: Fraction(v) for e, v in b.items()}
-
-    def fdeg(f):
-        return max(f) if f else -1
-
-    def frem(f, g):
-        gd = fdeg(g)
-        glead = g[gd]
-        f = dict(f)
-        while f and fdeg(f) >= gd:
-            fd = fdeg(f)
-            c = f[fd] / glead
-            for e, v in g.items():
-                k = e + fd - gd
-                f[k] = f.get(k, Fraction(0)) - c * v
-                if f[k] == 0:
-                    del f[k]
-        return f
-
-    while fb:
-        fa, fb = fb, frem(fa, fb)
-    # primitivize: scale to integer coefficients with content 1
-    denom_lcm = 1
-    for v in fa.values():
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    ints = {e: int(v * denom_lcm) for e, v in fa.items()}
-    content = 0
-    for v in ints.values():
-        content = math.gcd(content, abs(v))
-    ints = {e: v // content for e, v in ints.items()}
-    g = LaurentPoly(ints)
-    if g.coeff(g.degree()) < 0:
-        g = -g
-    return g
+    f, g = _primitive(_dense(a)), _primitive(_dense(b))
+    while g:
+        f, g = g, _primitive(_pseudo_rem(f, g))
+    if f[-1] < 0:
+        f = [-v for v in f]
+    return _laurent({e: v for e, v in enumerate(f) if v})
 
 
 class RationalFunction:
@@ -494,8 +509,8 @@ class RationalFunction:
             d_h = d_h.divexact(g)
         c = math.gcd(_poly_content(n_h), _poly_content(d_h))
         if c > 1:
-            n_h = n_h.divexact(LaurentPoly.from_int(c))
-            d_h = d_h.divexact(LaurentPoly.from_int(c))
+            n_h = _laurent({e: v // c for e, v in n_h._c.items()})
+            d_h = _laurent({e: v // c for e, v in d_h._c.items()})
         if d_h.coeff(d_h.degree()) < 0:
             n_h, d_h = -n_h, -d_h
         self.num = n_h.shift(nv - dv)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hallalg.exactnum import LaurentPoly, RationalFunction
+from hallalg.exactnum import ConsistencyError, LaurentPoly, RationalFunction
 from hallalg.partitions import all_partitions, aut_poly, weight
 from hallalg import classical
 from hallalg.classical import (
@@ -338,6 +338,14 @@ def test_column_rows_match_brute_scan():
                 assert _column_row(sigma, r) == brute
                 strips = {tau for tau in all_partitions(w + r) if _is_vertical_strip(tau, sigma, r)}
                 assert {tau for tau, _ in brute} == strips
+
+
+def test_column_row_refuses_a_zero_strip(monkeypatch):
+    # every vertical strip must carry a nonzero polynomial; a zero one is an
+    # internal inconsistency, not a term to drop
+    monkeypatch.setattr(classical, "hall_poly_col", lambda tau, sigma, r: L.zero())
+    with pytest.raises(ConsistencyError):
+        _column_row.__wrapped__((2, 1), 2)
 
 
 def test_degree_9_table_symmetric_and_polynomial():

@@ -1,6 +1,8 @@
 """Exact arithmetic layer: Laurent polynomials, rational functions, Q(sqrt q)."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from hallalg.exactnum import (
     balanced_qint,
     gauss_binomial,
     is_prime,
+    _poly_gcd,
     laurent_at_nu,
     qfact_plus,
     qint_plus,
@@ -688,3 +691,142 @@ def test_gauss_binomial_is_cached_and_keeps_its_check(monkeypatch):
     monkeypatch.setattr(L, "divexact", inexact)
     with pytest.raises(ConsistencyError):
         gauss_binomial.__wrapped__(7, 3)
+
+
+# Oracles for the reduction of rational functions: the Euclid over Fraction
+# that _poly_gcd ran before it went integer, and sympy.cancel for the ring
+# operations. RationalFunction.__eq__ cross-multiplies, so only these exact
+# comparisons of the stored parts can see a form that is not canonical.
+def _poly_gcd_ref(a, b):
+    """Primitive gcd of honest integer polynomials, positive leading coeff."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    fa = {e: Fraction(v) for e, v in a.items()}
+    fb = {e: Fraction(v) for e, v in b.items()}
+
+    def fdeg(f):
+        return max(f) if f else -1
+
+    def frem(f, g):
+        gd = fdeg(g)
+        glead = g[gd]
+        f = dict(f)
+        while f and fdeg(f) >= gd:
+            fd = fdeg(f)
+            c = f[fd] / glead
+            for e, v in g.items():
+                k = e + fd - gd
+                f[k] = f.get(k, Fraction(0)) - c * v
+                if f[k] == 0:
+                    del f[k]
+        return f
+
+    while fb:
+        fa, fb = fb, frem(fa, fb)
+    denom_lcm = 1
+    for v in fa.values():
+        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
+    ints = {e: int(v * denom_lcm) for e, v in fa.items()}
+    content = 0
+    for v in ints.values():
+        content = math.gcd(content, abs(v))
+    g = L({e: v // content for e, v in ints.items()})
+    if g.coeff(g.degree()) < 0:
+        g = -g
+    return g
+
+
+def _reduce_ref(num, den):
+    """The stored (num, den) of RationalFunction(num, den), reduced with
+    _poly_gcd_ref and a Fraction-free content step."""
+    if num.is_zero():
+        return L.zero(), L.one()
+    nv, dv = num.valuation(), den.valuation()
+    n_h, d_h = num.shift(-nv), den.shift(-dv)
+    g = _poly_gcd_ref(n_h, d_h)
+    n_h, d_h = n_h.divexact(g), d_h.divexact(g)
+    c = math.gcd(*(v for _, v in n_h.items()), *(v for _, v in d_h.items()))
+    n_h, d_h = n_h.divexact(L.from_int(c)), d_h.divexact(L.from_int(c))
+    if d_h.coeff(d_h.degree()) < 0:
+        n_h, d_h = -n_h, -d_h
+    return n_h.shift(nv - dv), d_h
+
+
+_rf_settings = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+# small factors of the shapes pairings meet: random low-degree polynomials,
+# t^k - 1, powers of t and signed integer contents
+_small_factors = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+    .map(lambda cs: L(dict(enumerate(cs))))
+    .filter(lambda p: not p.is_zero()),
+    st.integers(1, 6).map(lambda k: L({k: 1, 0: -1})),
+    st.integers(0, 4).map(L.monomial),
+    st.integers(-12, 12).filter(bool).map(L.from_int),
+)
+_products = st.lists(_small_factors, min_size=1, max_size=4).map(
+    lambda fs: functools.reduce(operator.mul, fs)
+)
+
+
+@_rf_settings
+@given(_products, _products, _products, st.sampled_from((1, -1)))
+def test_poly_gcd_matches_fraction_euclid(c, u, v, sign):
+    a, b = c * u * sign, c * v
+    g = _poly_gcd(a, b)
+    want = _poly_gcd_ref(a, b)
+    assert g._c == want._c
+    assert g.coeff(g.degree()) > 0 and math.gcd(*(x for _, x in g.items())) == 1
+    assert a.divexact(g) * g == a and b.divexact(g) * g == b
+    assert _poly_gcd(b, a)._c == want._c
+    assert _poly_gcd(L.zero(), a) is a and _poly_gcd(b, L.zero()) is b
+
+
+@_rf_settings
+@given(_products, _products, _products, st.integers(-3, 3), st.integers(-3, 3))
+def test_rational_function_form_matches_reference(c, u, v, i, j):
+    num, den = (c * u).shift(i), (-c * v).shift(j)
+    for n, d in ((num, den), (den, num), (num, num), (L.zero(), den)):
+        r = RationalFunction(n, d)
+        want_num, want_den = _reduce_ref(n, d)
+        assert (r.num._c, r.den._c) == (want_num._c, want_den._c)
+
+
+def _sympy_parts(sympy, expr, t):
+    """numerator and denominator of sympy.cancel(expr) as int dicts, scaled
+    to the form RationalFunction keeps once both are honest polynomials:
+    coprime integer parts with no common content, denominator leading
+    coefficient positive."""
+    p, q = sympy.fraction(sympy.cancel(expr))
+    if p == 0:
+        return {}, {0: 1}
+    parts = [{e: Fraction(str(x)) for (e,), x in sympy.Poly(f, t).terms()} for f in (p, q)]
+    scale = math.lcm(*(x.denominator for f in parts for x in f.values()))
+    ints = [{e: int(x * scale) for e, x in f.items()} for f in parts]
+    content = math.gcd(*(x for f in ints for x in f.values()))
+    if ints[1][max(ints[1])] < 0:
+        content = -content
+    return tuple({e: x // content for e, x in f.items()} for f in ints)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_products, _products, _products, _products, st.integers(-3, 3), st.integers(-3, 3))
+def test_rational_function_ops_match_sympy_cancel(n1, d1, n2, d2, i, j):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def to_sympy(p):
+        return sum((v * t**e for e, v in p.items()), sympy.Integer(0))
+
+    n1 = n1.shift(i)
+    n2 = (n2 * d1).shift(j)  # shares a factor with the other denominator
+    x, y = RationalFunction(n1, d1), RationalFunction(n2, d2)
+    sx = to_sympy(n1) / to_sympy(d1)
+    sy = to_sympy(n2) / to_sympy(d2)
+    for ours, theirs in ((x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy),
+                         (x / y, sx / sy), (x + (-x), sx - sx)):
+        # shift both parts to honest polynomials, as sympy writes them
+        s = max(0, -ours.num.valuation()) if not ours.is_zero() else 0
+        got = (ours.num.shift(s)._c, ours.den.shift(s)._c)
+        assert got == _sympy_parts(sympy, theirs, t)
