@@ -25,8 +25,14 @@ with _memoized (class tables, product rows, coproduct terms, antipode
 values and classes of a dimension); it lives as long as the backend. On
 quivers the classes entry of a dimension vector also holds each class's
 index, representative and |Aut|, all read from its enumeration, and the
-memo keeps each label's dimension vector and the Euler form of each pair
-of dimension vectors asked for.
+memo keeps each label's dimension vector and report string and the Euler
+form of each pair of dimension vectors asked for. The quiver backend
+builds its zero and one scalars once, when it checks q, and hands out
+those; scalars are immutable, so sharing them is safe.
+
+multiply and TensorElement.product take each pair of basis terms through
+one step, _basis_product: the twist exponent, the offset sum and the
+product row {R: G^R_MN}.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .exactnum import (
     LinearCombination,
     QrtScalar,
     RationalFunction,
+    _qrt,
     balanced_qfactorial,
     laurent_at_nu,
 )
@@ -189,6 +196,9 @@ class QuiverAtQ:
     scalars in Q(sqrt q), K-offsets in Z^vertices."""
 
     def __init__(self, quiver: Quiver, q: int, budget: Optional[int] = None):
+        # building the scalars checks that q is prime
+        self._zero = QrtScalar(q, 0)
+        self._one = QrtScalar(q, 1)
         self.quiver = quiver
         self.q = q
         self.budget = quiverrep.DEFAULT_BUDGET if budget is None else budget
@@ -245,13 +255,13 @@ class QuiverAtQ:
         """{(M, N): G^R_MN} for every nonzero entry, from R's submodule type
         table (keyed by quotient type, then sub type)."""
         table = quiverrep.submodule_type_table(self.rep(R), budget=self.budget)
-        return {key: QrtScalar(self.q, cnt) for key, cnt in table.items()}
+        return {key: _qrt(self.q, cnt, 0, 1) for key, cnt in table.items()}
 
     def hall(self, R, M, N):
-        return self.subtable(R).get((M, N), self.zero())
+        return self.subtable(R).get((M, N), self._zero)
 
     def aut(self, label):
-        return QrtScalar(self.q, self._class(label)[2])
+        return _qrt(self.q, self._class(label)[2], 0, 1)
 
     @_memoized
     def euler_a(self, alpha, beta) -> int:
@@ -261,10 +271,10 @@ class QuiverAtQ:
         return self.euler_a(alpha, beta) + self.euler_a(beta, alpha)
 
     def zero(self):
-        return QrtScalar(self.q, 0)
+        return self._zero
 
     def one(self):
-        return QrtScalar(self.q, 1)
+        return self._one
 
     def from_int(self, n: int):
         return QrtScalar(self.q, n)
@@ -286,8 +296,9 @@ class QuiverAtQ:
         return c
 
     def pairing_zero(self):
-        return QrtScalar(self.q, 0)
+        return self._zero
 
+    @_memoized
     def label_string(self, label) -> str:
         dim = self.dim_of(label)
         return f"c{self._class(label)[0]}@({','.join(str(d) for d in dim)})"
@@ -382,34 +393,32 @@ class TensorElement(LinearCombination):
         for plain (k-free) tensors."""
         b = self.backend
         _check_same_backend(b, other.backend)
-        out = TensorElement.zero(b)
+        out: Dict = {}
         for ((xl, xo), (yl, yo)), c1 in self.terms.items():
             for ((zl, zo), (wl, wo)), c2 in other.terms.items():
-                factor = c1 * c2
+                e = 0
                 if twisted:
                     if any(xo) or any(yo) or any(zo) or any(wo):
                         raise ValueError("twisted product is defined on k-free tensors")
-                    factor = factor * b.nu_power(
-                        b.sym_a(b.dim_of(yl), b.dim_of(zl))
-                    )
-                left = multiply(
-                    b,
-                    HallElement(b, {(xl, xo): b.one()}),
-                    HallElement(b, {(zl, zo): b.one()}),
-                )
-                right = multiply(
-                    b,
-                    HallElement(b, {(yl, yo): b.one()}),
-                    HallElement(b, {(wl, wo): b.one()}),
-                )
-                for lk, lc in left.terms.items():
-                    for rk, rc in right.terms.items():
-                        key = (lk, rk)
-                        add = factor * lc * rc
-                        out.terms[key] = (
-                            out.terms[key] + add if key in out.terms else add
-                        )
-        return TensorElement(b, out.terms)
+                    e = b.sym_a(b.dim_of(yl), b.dim_of(zl))
+                e1, lo, lrow = _basis_product(b, xl, xo, zl, zo)
+                e2, ro, rrow = _basis_product(b, yl, yo, wl, wo)
+                e += e1 + e2
+                # a leg's coefficients v^e G are those multiply checks on a
+                # product of two basis terms; a power of v keeps the part of
+                # a denominator prime to q, so checking G checks v^e G
+                for g in itertools.chain(lrow.values(), rrow.values()):
+                    b.check_element_scalar(g)
+                factor = c1 * c2
+                if e:
+                    factor = factor * b.nu_power(e)
+                for A, ga in lrow.items():
+                    fa = factor * ga
+                    for B, gb in rrow.items():
+                        key = ((A, lo), (B, ro))
+                        add = fa * gb
+                        out[key] = out[key] + add if key in out else add
+        return TensorElement(b, out)
 
     def sorted_terms(self):
         b = self.backend
@@ -468,22 +477,28 @@ def _hall_row(b, M, N) -> Dict:
     return row
 
 
+def _basis_product(b, M, alpha, N, beta) -> Tuple[int, Tuple[int, ...], Dict]:
+    """[M]k_alpha [N]k_beta = v^e sum_R G^R_MN [R]k_{alpha+beta}, as
+    (e, alpha + beta, {R: G}), with e = (alpha, N)_sym + <M, N>."""
+    dN = b.dim_of(N)
+    e = b.euler_a(b.dim_of(M), dN)
+    if b.offset_len:
+        e += b.sym_a(alpha, dN)
+    return e, _add_offsets(alpha, beta), _hall_row(b, M, N)
+
+
 def multiply(b, x: HallElement, y: HallElement) -> HallElement:
     """Twisted Hall product on the extended algebra."""
     _check_same_backend(b, x.backend)
     _check_same_backend(b, y.backend)
     out: Dict = {}
     for (M, alpha), cx in x.terms.items():
-        dM = b.dim_of(M)
         for (N, beta), cy in y.terms.items():
-            dN = b.dim_of(N)
+            e, off, row = _basis_product(b, M, alpha, N, beta)
             factor = cx * cy
-            k_comm = b.sym_a(alpha, dN) if b.offset_len else 0
-            tw = b.euler_a(dM, dN)
-            if k_comm or tw:
-                factor = factor * b.nu_power(k_comm + tw)
-            off = _add_offsets(alpha, beta)
-            for R, g in _hall_row(b, M, N).items():
+            if e:
+                factor = factor * b.nu_power(e)
+            for R, g in row.items():
                 key = (R, off)
                 add = factor * g
                 out[key] = out[key] + add if key in out else add

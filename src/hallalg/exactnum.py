@@ -651,7 +651,8 @@ class QrtScalar:
     The constructor validates q and takes rational parts a, b for the value
     a + b*sqrt(q); the properties .a and .b give them back as Fractions.
     The arithmetic builds its results with _qrt, which skips the
-    validation because its operands were already checked.
+    validation because its operands were already checked. Instances are
+    immutable, so a backend may hand out one zero and one one.
     """
 
     __slots__ = ("q", "_n", "_m", "_d")
@@ -662,9 +663,14 @@ class QrtScalar:
         if type(a) is int and type(b) is int:
             self._n, self._m, self._d = a, b, 1
             return
-        # Fraction accepts numpy integers and keeps them as numerators, so
-        # int() makes every part a Python int that cannot wrap around.
-        a, b = Fraction(a), Fraction(b)
+        # an exact Fraction is already in lowest terms; anything else,
+        # subclasses included, is normalized by Fraction. Fraction accepts
+        # numpy integers and keeps them as its parts, so int() makes every
+        # part a Python int that cannot wrap around.
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
         an, ad = int(a.numerator), int(a.denominator)
         bn, bd = int(b.numerator), int(b.denominator)
         # both parts are in lowest terms, so over their lcm gcd(n, m, d) == 1

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hallalg
-from hallalg import engine, quiverrep
+from hallalg import engine, quiverrep, verify
 from hallalg.classical import GenericHallElement, _view, hall_poly, ibasis_in_elementary, to_symfun
 from hallalg.engine import (
     ClassicalGeneric,
@@ -848,6 +848,100 @@ def test_k_grading_preserved():
             a + bb for a, bb in zip(b.dim_of(lk[0]), b.dim_of(rk[0]))
         )
         assert dsum == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# tensor product against its first form
+# ---------------------------------------------------------------------------
+
+
+def _tensor_product_ref(t1, t2, twisted):
+    """TensorElement.product as first written, the test oracle: each pair of
+    terms multiplies its legs as one-term elements with multiply, and the
+    twisted variant scales the pair by v^(wt(y), wt(z))_sym."""
+    b = t1.backend
+    out = {}
+    for ((xl, xo), (yl, yo)), c1 in t1.terms.items():
+        for ((zl, zo), (wl, wo)), c2 in t2.terms.items():
+            factor = c1 * c2
+            if twisted:
+                factor = factor * b.nu_power(b.sym_a(b.dim_of(yl), b.dim_of(zl)))
+            left = multiply(b, HallElement(b, {(xl, xo): b.one()}), HallElement(b, {(zl, zo): b.one()}))
+            right = multiply(b, HallElement(b, {(yl, yo): b.one()}), HallElement(b, {(wl, wo): b.one()}))
+            for lk, lc in left.terms.items():
+                for rk, rc in right.terms.items():
+                    add = factor * lc * rc
+                    out[lk, rk] = out[lk, rk] + add if (lk, rk) in out else add
+    return TensorElement(b, out)
+
+
+def _check_product_against_ref(rng, b, labels, scalar, offsets, rounds):
+    """Random tensors of four terms: twisted on k-free ones, untwisted with
+    the given offsets; the terms must agree in value and in order."""
+    def tensor(offs):
+        return TensorElement(b, {((rng.choice(labels), offs()), (rng.choice(labels), offs())): scalar()
+                                 for _ in range(4)})
+
+    nonzero = 0
+    for _ in range(rounds):
+        for twisted, offs in ((True, lambda: (0,) * b.offset_len), (False, offsets)):
+            t1, t2 = tensor(offs), tensor(offs)
+            got = t1.product(t2, twisted=twisted)
+            want = _tensor_product_ref(t1, t2, twisted)
+            assert list(got.terms.items()) == list(want.terms.items())
+            nonzero += not got.is_zero()
+    assert nonzero > rounds
+
+
+def test_tensor_product_matches_reference_classical():
+    rng = random.Random(3)
+    b = ClassicalGeneric()
+    labels = [la for n in range(4) for la in all_partitions(n)]
+
+    def scalar():
+        return (LaurentPoly.from_int(rng.choice((-2, -1, 1, 3)))
+                + LaurentPoly.monomial(rng.randint(-1, 1), rng.randint(-1, 1)))
+
+    _check_product_against_ref(rng, b, labels, scalar, lambda: (), 6)
+
+
+@pytest.mark.parametrize(
+    "Q, q", [(Quiver.kronecker(), 2), (Quiver.cyclic(3), 2), (Quiver.a2(), 3)],
+    ids=["kronecker-q2", "cyclic3-q2", "a2-q3"],
+)
+def test_tensor_product_matches_reference_quiver(Q, q):
+    rng = random.Random(5)
+    b = QuiverAtQ(Q, q)
+    labels = [lab for t in range(3) for d in _dims_up_to(Q.n, t) if sum(d) == t
+              for lab in b.classes_of_dim(d)]
+
+    def scalar():
+        return QrtScalar(q, Fraction(rng.choice((-3, -1, 1, 2)), q ** rng.randint(0, 1)),
+                         rng.randint(-1, 1))
+
+    def offsets():
+        return tuple(rng.randint(-1, 1) for _ in range(Q.n))
+
+    _check_product_against_ref(rng, b, labels, scalar, offsets, 8)
+
+
+def test_quiver_backend_memo_survives_suites(monkeypatch):
+    # one backend hands out its zero and one and keeps its label strings in
+    # its memo; after the green, hopf-pairing and antipode suites have run
+    # on it, the shared scalars are unchanged and every string parses back
+    b = QuiverAtQ(Quiver.kronecker(), 2)
+    monkeypatch.setattr(verify, "_make_backend", lambda *args: b)
+    for suite in (verify.suite_green, verify.suite_hopf_pairing, verify.suite_antipode):
+        checks = suite(backend="quiver", deg=4)
+        assert checks and all(c["status"] == "pass" for c in checks)
+    assert b.zero().is_zero() and b.zero() == QrtScalar(2, 0)
+    assert b.one().is_one() and b.one() == QrtScalar(2, 1)
+    assert b.pairing_zero() is b.zero() and b.one() is b.one()
+    for d in _dims_up_to(2, 4):
+        for lab in b.classes_of_dim(d):
+            assert b.parse_label(b.label_string(lab)) == lab
+    with pytest.raises(ValueError, match=r"^q must be prime, got 4$"):
+        QuiverAtQ(Quiver.kronecker(), 4)
 
 
 def test_label_string_roundtrip():

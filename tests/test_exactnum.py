@@ -315,6 +315,44 @@ def test_qrt_scalar_numpy_parts_do_not_wrap():
         assert all(type(part) is int for part in (z._n, z._m, z._d))
 
 
+class _FractionSub(Fraction):
+    """A Fraction subclass: the constructor reads it through Fraction()."""
+
+
+def _qrt_parts_ref(a, b):
+    """(n, m, d) of a + b*sqrt(q) by the general route: both parts made
+    Fractions of Python ints (numpy parts would wrap around), then scaled
+    by the lcm of their denominators."""
+    a, b = (Fraction(int(x.numerator), int(x.denominator)) for x in map(Fraction, (a, b)))
+    d = math.lcm(a.denominator, b.denominator)
+    return int(a * d), int(b * d), d
+
+
+def test_qrt_scalar_constructor_parts_match_fraction_route():
+    np = pytest.importorskip("numpy")
+    ints = (0, 1, -7, 12, 2**70)
+    fracs = (Fraction(0), Fraction(3, 4), Fraction(-5, 6), Fraction(7, 1), Fraction(-2**65, 9))
+    odd = (_FractionSub(3, 4), _FractionSub(-10, 4), Fraction(np.int64(6), 4),
+           Fraction(np.int64(-9), np.int64(12)), Fraction(np.int64(2**62), 3))
+    values = ints + fracs + odd
+    for q in (2, 3, 7):
+        for a in values:
+            for b in values:
+                x = QrtScalar(q, a, b)
+                parts = (x._n, x._m, x._d)
+                assert parts == _qrt_parts_ref(a, b), (q, a, b)
+                assert all(type(p) is int for p in parts), (q, a, b)
+                assert x._d > 0 and math.gcd(*parts) == 1
+                assert (x.a, x.b) == (Fraction(a), Fraction(b))
+        # one part given: the root part is zero
+        for a in values:
+            assert (QrtScalar(q, a)._n, QrtScalar(q, a)._d) == _qrt_parts_ref(a, 0)[::2]
+    for bad in (4, 9, 1):
+        for a, b in ((Fraction(1, 2), 0), (1, Fraction(2, 3)), (_FractionSub(1, 3), 1)):
+            with pytest.raises(ValueError, match=f"q must be prime, got {bad}"):
+                QrtScalar(bad, a, b)
+
+
 class _QrtFractionOracle:
     """QrtScalar as it was with Fraction parts a + b*sqrt(q): the slow,
     independent reference for the integer form."""

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hallalg.classical import hall_poly
 from hallalg.exactnum import BudgetError, ConsistencyError, gauss_binomial
@@ -484,6 +486,37 @@ def test_classify_lookup_matches_scan(Q, q, d):
         assert label == _classify_by_scan(M), M
         sizes[label] += 1
     assert sizes == {label: size for label, _, size in classes}
+
+
+@st.composite
+def _random_points(draw):
+    """A random point M on A2, Kronecker or cyclic(2) at q = 2 or 3, each
+    vertex dimension at most 2; points the nilpotent cyclic(2) refuses are
+    rejected."""
+    Q = draw(st.sampled_from((Quiver.a2(), Quiver.kronecker(), Quiver.cyclic(2))))
+    q = draw(st.sampled_from((2, 3)))
+    d = tuple(draw(st.integers(0, 2)) for _ in range(Q.n))
+    entries = st.integers(0, q - 1)
+    mats = tuple(
+        tuple(tuple(draw(entries) for _ in range(d[s])) for _ in range(d[t]))
+        for s, t in Q.effective_arrows()
+    )
+    try:
+        return QuiverRep(Q, q, d, mats)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_random_points())
+def test_orbit_stabilizer_on_random_points(M):
+    # |Aut M| by the endomorphism scan times the orbit size of M's class is
+    # |GL_d|, and M is isomorphic to the representative of its class
+    label = classify_rep(M)
+    [(rep, size)] = [(r, n) for lab, r, n in enumerate_iso_classes(M.quiver, M.q, M.dims)
+                     if lab == label]
+    assert aut_count(M) * size == gl_order_vec(M.dims, M.q)
+    assert is_isomorphic(M, rep)
 
 
 def test_count_submodules_goldens():
