@@ -22,7 +22,7 @@ is a lookup into subtable, which is R's submodule type table.
 
 Each backend instance keeps one memo, filled by the functions decorated
 with _memoized (class tables, product rows, coproduct terms, antipode
-values and classes of a dimension); it lives as long as the backend. On
+values, classes of a dimension and each 1/a_M in the pairing ring); it lives as long as the backend. On
 quivers the classes entry of a dimension vector also holds each class's
 index, representative and |Aut|, all read from its enumeration, and the
 memo keeps each label's dimension vector and report string and the Euler
@@ -603,7 +603,7 @@ def pairing(b, x: HallElement, y: HallElement):
             s = b.sym_a(alpha, beta) if b.offset_len else 0
             if s:
                 num = num * b.nu_power(s)
-            total = total + b.to_pairing(num) / b.to_pairing(b.aut(M))
+            total = total + b.to_pairing(num) * _inv_aut(b, M)
     return total
 
 
@@ -630,8 +630,14 @@ def _pair_terms(b, key1, key2):
     if M != N:
         return b.pairing_zero()
     s = b.sym_a(alpha, beta) if b.offset_len else 0
-    num = b.nu_power(s) if s else b.one()
-    return b.to_pairing(num) / b.to_pairing(b.aut(M))
+    return b.to_pairing(b.nu_power(s)) * _inv_aut(b, M) if s else _inv_aut(b, M)
+
+
+@_memoized
+def _inv_aut(b, M):
+    """1/a_M in the pairing ring; both rings keep a canonical form, so
+    multiplying by it equals dividing by a_M."""
+    return b.to_pairing(b.one()) / b.to_pairing(b.aut(M))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ representations of cyclic quivers and of the one-loop Jordan backend),
 counts submodules, automorphisms, and Hom spaces. All counts are exact
 integers. numpy serves four brute-force kernels: point enumeration, orbit
 labelling, the automorphism / isomorphism scan, and the submodule stability
-test with its sub / quotient matrices. The first three check, from q and
-the size, that their fixed-width intermediates fit their dtype, and most
-take the narrowest dtype that does (_int_dtype); the orbit enumeration works on fixed-size sub-chunks, so its memory is what it
-keeps (uint8 digits, int32 permutations), not its temporaries. The
-submodule kernel switches to Python-int arrays where int64 would not
-hold them, and classifies each distinct sub and quotient of a chunk once. numpy is imported on the first call into one of these kernels
+test with its sub / quotient matrices. Each checks, from q and the size,
+that its fixed-width intermediates fit their dtype, and most take the
+narrowest dtype that does (_int_dtype); the orbit enumeration works on
+fixed-size sub-chunks, so its memory is what it keeps (uint8 digits, int32
+permutations), not its temporaries. The submodule kernel, int16 at every
+q the suites use, switches to Python-int arrays where int64 would not
+hold its products, and classifies each distinct sub and quotient of a
+chunk once. numpy is imported on the first call into one of these kernels
 (the module global `np` starts as a stand-in), so importing this module,
 and every classical path, never loads it.
 
@@ -1264,44 +1266,58 @@ def rep_from_label(Q: Quiver, q: int, label) -> QuiverRep:
 # ---------------------------------------------------------------------------
 
 
+def _column_dtype(d: int, p: int):
+    """dtype of subspace column indices and dimensions, all at most d."""
+    return _int_dtype("submodule_type_table", d, "subspace columns", (d,), p)
+
+
 def _subspace_arrays(d: int, k: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
     """Every k-dimensional subspace of F_p^d as its RREF row basis:
     (bases (S, k, d) in `dtype`, columns (S, d): the k pivot columns, then
-    the others), S = [d choose k]_p. Pivot patterns run in lexicographic
-    order; within one, the free entries (row-major) count up in base p,
-    the first one most significant."""
-    bases, orders, counts = [], [], []
+    the others, in the narrowest integer dtype holding d), S = [d choose
+    k]_p, each filled in place. Pivot patterns run in lexicographic order;
+    within one, the free entries (row-major) count up in base p, the first
+    one most significant."""
+    bases = np.zeros((subspace_count(d, k, p), k, d), dtype=dtype)
+    orders = np.empty((len(bases), d), dtype=_column_dtype(d, p))
+    start = 0
     for piv in itertools.combinations(range(d), k):
         free = [(i, j) for i in range(k) for j in range(piv[i] + 1, d) if j not in piv]
-        count = p ** len(free)
-        block = np.zeros((count, k, d), dtype=dtype)
+        stop = start + p ** len(free)
+        block = bases[start:stop]
         block[:, range(k), piv] = 1
         if free:
             rows, cols = zip(*free)
-            block[:, rows, cols] = _coeff_digit_block(0, count, len(free), p, dtype)
-        bases.append(block)
-        orders.append(piv + tuple(j for j in range(d) if j not in piv))
-        counts.append(count)
-    return np.concatenate(bases), np.repeat(np.array(orders, dtype=np.intp), counts, axis=0)
+            block[:, rows, cols] = _coeff_digit_block(0, stop - start, len(free), p, dtype)
+        orders[start:stop] = piv + tuple(j for j in range(d) if j not in piv)
+        start = stop
+    return bases, orders
 
 
 @functools.lru_cache(maxsize=16)
 def _vertex_subspaces(d: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All subspaces of F_p^d, dimension 0 to d in turn: (E (S, d, d), the
-    matrix whose row c_i is the i-th RREF basis row, c_i the i-th pivot,
-    and whose other rows are zero, so that v - vE reduces v against the
-    subspace; the columns in pivot-first order (S, d); the dimensions (S,)).
+    """All subspaces of F_p^d, dimension 0 to d in turn: (E (S, d, d) in
+    `dtype`, the matrix whose row c_i is the i-th RREF basis row, c_i the
+    i-th pivot, and whose other rows are zero, so that v - vE reduces v
+    against the subspace; the columns in pivot-first order (S, d); the
+    dimensions (S,)), the last two in the narrowest integer dtype holding
+    d. The arrays are allocated once at full size and filled one k at a
+    time, so the build holds one k's bases beside them and no second copy.
     Every table of the same (d, p, dtype) reads them, so the last few are
     kept, read-only."""
-    mats, orders, kdims = [], [], []
-    for k in range(d + 1):
+    counts = [subspace_count(d, k, p) for k in range(d + 1)]
+    mats = np.zeros((sum(counts), d, d), dtype=dtype)
+    orders = np.empty((len(mats), d), dtype=_column_dtype(d, p))
+    kdims = np.empty(len(mats), dtype=orders.dtype)
+    start = 0
+    for k, count in enumerate(counts):
         basis, order = _subspace_arrays(d, k, p, dtype)
-        e = np.zeros((len(basis), d, d), dtype=dtype)
-        e[np.arange(len(basis))[:, None], order[:, :k]] = basis
-        mats.append(e)
-        orders.append(order)
-        kdims.append(np.full(len(basis), k))
-    out = np.concatenate(mats), np.concatenate(orders), np.concatenate(kdims)
+        stop = start + count
+        mats[np.arange(start, stop)[:, None], order[:, :k]] = basis
+        orders[start:stop] = order
+        kdims[start:stop] = k
+        start = stop
+    out = mats, orders, kdims
     for a in out:
         a.setflags(write=False)
     return out
@@ -1321,9 +1337,13 @@ def _corner_masks(d_s: int, d_t: int) -> np.ndarray:
 
 def _submodule_dtype(dims: Sequence[int], p: int):
     """Array dtype of submodule_type_table at these dimensions: before
-    reduction its products reach max(d) (p-1)^2, so int64 while that fits
-    and Python ints (object arrays) past it."""
-    return np.int64 if max(dims) * (p - 1) ** 2 <= np.iinfo(np.int64).max else object
+    reduction its products (stability images and checks, quotient
+    reductions) reach max(d) (p-1)^2, so the narrowest of int16, int32 and
+    int64 that holds that, and Python ints (object arrays) past int64."""
+    worst = max(dims) * (p - 1) ** 2
+    if worst > np.iinfo(np.int64).max:
+        return object
+    return _int_dtype("submodule_type_table", worst, "subspace products", dims, p)
 
 
 def submodule_type_table(
@@ -1340,7 +1360,10 @@ def submodule_type_table(
     tuples run in itertools.product order; for those stable under every
     arrow, the sub matrix is I read at (U_s pivots, U_t pivots) and the
     quotient matrix X^T (1 - E_t), X's columns reduced against U_t, read at
-    (U_s non-pivots, U_t non-pivots), both transposed.
+    (U_s non-pivots, U_t non-pivots), both transposed. The subspace
+    matrices, images and reductions are all in _submodule_dtype(dims, q),
+    the narrowest dtype holding max(d) (q-1)^2: int16 up to q = 127 at
+    d = 2 and q = 61 at d = 9.
 
     Each chunk of stable tuples writes its subs and quotients as byte keys
     (uint8 entries while q <= 256), and classify_rep runs once per distinct

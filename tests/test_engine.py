@@ -404,22 +404,33 @@ def test_hopf_pairing_property_quiver():
                 assert lhs == rhs
 
 
+def _pair_leg_brute(b, key1, key2):
+    """([M]k_a, [N]k_b) = delta_MN v^(a,b)_sym / a_M, dividing by a_M."""
+    (M, alpha), (N, beta) = key1, key2
+    if M != N:
+        return b.pairing_zero()
+    s = b.sym_a(alpha, beta) if b.offset_len else 0
+    num = b.nu_power(s) if s else b.one()
+    return b.to_pairing(num) / b.to_pairing(b.aut(M))
+
+
 def _pairing_tensor_brute(b, t1, t2):
     """Oracle for pairing_tensor: every pair of terms, mismatches included,
-    each leg paired by ([M]k_a, [N]k_b) = delta_MN v^(a,b)_sym / a_M."""
-
-    def leg(key1, key2):
-        (M, alpha), (N, beta) = key1, key2
-        if M != N:
-            return b.pairing_zero()
-        s = b.sym_a(alpha, beta) if b.offset_len else 0
-        num = b.nu_power(s) if s else b.one()
-        return b.to_pairing(num) / b.to_pairing(b.aut(M))
-
+    each leg paired by _pair_leg_brute."""
     total = b.pairing_zero()
     for (lk1, rk1), c1 in t1.terms.items():
         for (lk2, rk2), c2 in t2.terms.items():
-            total = total + b.to_pairing(c1 * c2) * leg(lk1, lk2) * leg(rk1, rk2)
+            legs = _pair_leg_brute(b, lk1, lk2) * _pair_leg_brute(b, rk1, rk2)
+            total = total + b.to_pairing(c1 * c2) * legs
+    return total
+
+
+def _pairing_brute(b, x, y):
+    """Oracle for pairing: every pair of terms paired by _pair_leg_brute."""
+    total = b.pairing_zero()
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            total = total + b.to_pairing(c1 * c2) * _pair_leg_brute(b, k1, k2)
     return total
 
 
@@ -440,7 +451,7 @@ def _random_tensor_pair(rng, b, labels, scalar, offsets, nterms):
 
 
 def _check_pairing_tensor_against_brute(rng, b, labels, scalar, offsets, rounds):
-    nonzero = 0
+    nonzero = nonzero_single = 0
     for _ in range(rounds):
         t1, t2 = _random_tensor_pair(rng, b, labels, scalar, offsets, 8)
         pairs = {(lk[0], rk[0]) for lk, rk in t2.terms}
@@ -449,7 +460,13 @@ def _check_pairing_tensor_against_brute(rng, b, labels, scalar, offsets, rounds)
         assert got == _pairing_tensor_brute(b, t1, t2)
         assert pairing_tensor(b, t2, t1) == _pairing_tensor_brute(b, t2, t1)
         nonzero += not got.is_zero()
-    assert nonzero
+        # pairing multiplies by the memoized 1/a_M; the left legs as
+        # elements must pair as the division form does, down to the repr
+        x, y = (HallElement(b, {lk: c for (lk, _), c in t.terms.items()}) for t in (t1, t2))
+        single = pairing(b, x, y)
+        assert repr(single) == repr(_pairing_brute(b, x, y))
+        nonzero_single += not single.is_zero()
+    assert nonzero and nonzero_single
 
 
 def test_pairing_tensor_join_matches_brute_classical():

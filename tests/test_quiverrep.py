@@ -656,6 +656,22 @@ def test_submodule_table_past_int64():
         submodule_type_table(big)
 
 
+@pytest.mark.parametrize("q, dtype", [(127, np.int16), (131, np.int32)])
+def test_submodule_dtype_boundary_matches_brute(q, dtype):
+    # max(d) (q-1)^2 at d = 2: 31752 fits int16 at q = 127, 33800 at q = 131
+    # does not; the table is the per-tuple oracle's on both sides
+    assert _submodule_dtype((2,), q) is dtype
+    for parts in ((2,), (1, 1)):
+        R = jordan_rep(parts, q)
+        assert list(submodule_type_table(R).items()) == list(_submodule_table_brute(R).items())
+
+
+def test_vertex_subspaces_store_is_narrow():
+    # matrices in the int16 kernel dtype, columns and dimensions in int16
+    for a in quiverrep._vertex_subspaces(6, 2, _submodule_dtype((6,), 2)):
+        assert a.dtype.itemsize <= 2
+
+
 def test_vertex_subspaces_built_once_read_only(monkeypatch):
     # tables of one (d, p, dtype) share one read-only copy of the subspace
     # arrays; a budget too small for a table fails before any is built
@@ -665,8 +681,9 @@ def test_vertex_subspaces_built_once_read_only(monkeypatch):
     with pytest.raises(BudgetError) as cold:
         submodule_type_table(R, budget=3)
     assert quiverrep._vertex_subspaces.cache_info().currsize == 0
-    first = quiverrep._vertex_subspaces(5, 2, np.int64)
-    assert all(a is b for a, b in zip(first, quiverrep._vertex_subspaces(5, 2, np.int64)))
+    dtype = _submodule_dtype((5,), 2)
+    first = quiverrep._vertex_subspaces(5, 2, dtype)
+    assert all(a is b for a, b in zip(first, quiverrep._vertex_subspaces(5, 2, dtype)))
     for a in first:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
