@@ -22,13 +22,14 @@ is a lookup into subtable, which is R's submodule type table.
 
 Each backend instance keeps one memo, filled by the functions decorated
 with _memoized (class tables, product rows, coproduct terms, antipode
-values, classes of a dimension and each 1/a_M in the pairing ring); it lives as long as the backend. On
-quivers the classes entry of a dimension vector also holds each class's
-index, representative and |Aut|, all read from its enumeration, and the
-memo keeps each label's dimension vector and report string and the Euler
-form of each pair of dimension vectors asked for. The quiver backend
-builds its zero and one scalars once, when it checks q, and hands out
-those; scalars are immutable, so sharing them is safe.
+values, classes of a dimension and each 1/a_M in the pairing ring); it
+lives as long as the backend. On quivers the classes entry of a
+dimension vector also holds each class's index, representative and
+|Aut|, all read from its enumeration, and the memo keeps each label's
+dimension vector and report string and the Euler form of each pair of
+dimension vectors asked for. The quiver backend builds its zero and one
+scalars once, when it checks q, and hands out those; scalars are
+immutable, so sharing them is safe.
 
 multiply and TensorElement.product take each pair of basis terms through
 one step, _basis_product: the twist exponent, the offset sum and the
