@@ -482,9 +482,7 @@ def _basis_product(b, M, alpha, N, beta) -> Tuple[int, Tuple[int, ...], Dict]:
     """[M]k_alpha [N]k_beta = v^e sum_R G^R_MN [R]k_{alpha+beta}, as
     (e, alpha + beta, {R: G}), with e = (alpha, N)_sym + <M, N>."""
     dN = b.dim_of(N)
-    e = b.euler_a(b.dim_of(M), dN)
-    if b.offset_len:
-        e += b.sym_a(alpha, dN)
+    e = b.euler_a(b.dim_of(M), dN) + b.sym_a(alpha, dN)
     return e, _add_offsets(alpha, beta), _hall_row(b, M, N)
 
 
@@ -543,7 +541,7 @@ def _dim_splits(b, dR) -> List[Tuple[int, ...]]:
 def comultiply(b, x: HallElement) -> TensorElement:
     """Extended coproduct: Delta([R]k_a) = sum coeff [M]k_{dim(N)+a} (x) [N]k_a."""
     _check_same_backend(b, x.backend)
-    out = TensorElement.zero(b)
+    out: Dict = {}
     for (R, alpha), c in x.terms.items():
         for M, N, coeff in _delta_basis(b, R):
             dN = b.dim_of(N)
@@ -551,8 +549,8 @@ def comultiply(b, x: HallElement) -> TensorElement:
             right = (N, alpha)
             key = (left, right)
             add = coeff * c
-            out.terms[key] = out.terms[key] + add if key in out.terms else add
-    elem = TensorElement(b, out.terms)
+            out[key] = out[key] + add if key in out else add
+    elem = TensorElement(b, out)
     for c in elem.terms.values():
         b.check_element_scalar(c)
     return elem
@@ -601,7 +599,7 @@ def pairing(b, x: HallElement, y: HallElement):
             if M != N:
                 continue
             num = cx * cy
-            s = b.sym_a(alpha, beta) if b.offset_len else 0
+            s = b.sym_a(alpha, beta)
             if s:
                 num = num * b.nu_power(s)
             total = total + b.to_pairing(num) * _inv_aut(b, M)
@@ -630,7 +628,7 @@ def _pair_terms(b, key1, key2):
     (M, alpha), (N, beta) = key1, key2
     if M != N:
         return b.pairing_zero()
-    s = b.sym_a(alpha, beta) if b.offset_len else 0
+    s = b.sym_a(alpha, beta)
     return b.to_pairing(b.nu_power(s)) * _inv_aut(b, M) if s else _inv_aut(b, M)
 
 
@@ -650,7 +648,7 @@ def _k_left_mul(b, gamma: Tuple[int, ...], x: HallElement) -> HallElement:
     """Left multiplication by k_gamma: k_g [X]k_d = v^(g,X)_sym [X]k_{g+d}."""
     out: Dict = {}
     for (X, delta), c in x.terms.items():
-        s = b.sym_a(gamma, b.dim_of(X)) if b.offset_len else 0
+        s = b.sym_a(gamma, b.dim_of(X))
         coeff = c * b.nu_power(s) if s else c
         key = (X, _add_offsets(gamma, delta))
         out[key] = out[key] + coeff if key in out else coeff

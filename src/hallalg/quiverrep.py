@@ -1,9 +1,9 @@
 """Brute-force representation theory of quivers over prime fields.
 
 Enumerates and classifies representations (including nilpotent
-representations of cyclic quivers and of the one-loop Jordan backend),
-counts submodules, automorphisms, and Hom spaces. All counts are exact
-integers. numpy serves four brute-force kernels: point enumeration, orbit
+representations of cyclic quivers, the one-loop Jordan backend being the
+cycle on one vertex), counts submodules, automorphisms, and Hom spaces.
+All counts are exact integers. numpy serves four brute-force kernels: point enumeration, orbit
 labelling, the automorphism / isomorphism scan, and the submodule stability
 test with its sub / quotient matrices. Each checks, from q and the size,
 that its fixed-width intermediates fit their dtype, and most take the
@@ -18,12 +18,14 @@ and every classical path, never loads it.
 
 A generic representation is classified by looking its base-q point code
 up among the enumerated points of its dimension vector, each tagged with
-its orbit; the Jordan and cyclic nilpotent backends classify by ranks and
-take each class's orbit size |GL_d| / |Aut M| from the closed form of
-|Aut M|, which aut_count's exhaustive scan checks in the tests. That scan
-is independent of the closed forms; it tests one endomorphism per F_q^x
-line, since a nonzero multiple of an automorphism is one, and its budget
-still counts all q^dim End M points.
+its orbit. A nilpotent representation of a single cycle, the Jordan loop
+included, is a sum of chains: one closed form classifies it by the ranks
+of its path maps (cyclic_type), builds each class's representative
+(rep_from_cyclic_label) and takes its orbit size |GL_d| / |Aut M| from
+the closed form of |Aut M|, which aut_count's exhaustive scan checks in
+the tests. That scan is independent of the closed forms; it tests one
+endomorphism per F_q^x line, since a nonzero multiple of an automorphism
+is one, and its budget still counts all q^dim End M points.
 aut_count, enumerate_iso_classes, classify_rep and submodule_type_table
 keep their results through one helper, _cached, which checks the budget
 on every call against the count the cold call needed. A table also keeps
@@ -72,7 +74,8 @@ np = _DeferredNumpy()
 class Quiver:
     """Finite quiver. Loops are forbidden in the arrow list; the Jordan
     backend (nilpotent k[t]-modules) is the `jordan` flag on a one-vertex
-    quiver and behaves as an implicit loop."""
+    quiver and behaves as an implicit loop, the cyclic quiver on one
+    vertex."""
 
     vertices: Tuple[str, ...]
     arrows: Tuple[Tuple[str, str], ...] = ()
@@ -122,26 +125,25 @@ class Quiver:
         return self._effective_arrows
 
     def is_single_cycle(self) -> bool:
-        """True for the cyclic quiver: arrows form one directed cycle through
-        every vertex, one arrow out of and into each vertex."""
+        """True for the cyclic quiver: the effective arrows form one
+        directed cycle through every vertex, one arrow out of and into each
+        vertex. The Jordan loop is the cycle on one vertex."""
         return self._single_cycle
 
     def _find_single_cycle(self) -> bool:
-        if self.jordan or self.n < 2 or len(self.arrows) != self.n:
-            return False
         outgoing = {}
-        for s, t in self.arrows:
+        for s, t in self._effective_arrows:
             if s in outgoing:
                 return False
             outgoing[s] = t
-        if set(outgoing) != set(self.vertices):
+        if len(outgoing) != self.n:
             return False
-        seen = []
-        v = self.vertices[0]
+        seen = set()
+        v = 0
         for _ in range(self.n):
-            seen.append(v)
+            seen.add(v)
             v = outgoing[v]
-        return v == self.vertices[0] and len(set(seen)) == self.n
+        return v == 0 and len(seen) == self.n
 
     # -- constructors for the standard desks
 
@@ -203,8 +205,6 @@ class Quiver:
 
 def quiver_has_cycle(Q: Quiver) -> bool:
     """True when some directed cycle exists (the jordan loop counts)."""
-    if Q.jordan:
-        return True
     adj: Dict[int, List[int]] = {v: [] for v in range(Q.n)}
     for s, t in Q.effective_arrows():
         adj[s].append(t)
@@ -427,51 +427,44 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
 
 def jordan_rep(la: Partition, q: int) -> QuiverRep:
     """Nilpotent single matrix with Jordan type la (ones on the subdiagonal
-    of each block)."""
-    la = as_partition(la)
-    n = sum(la)
-    mat = [[0] * n for _ in range(n)]
-    off = 0
-    for part in la:
-        for i in range(part - 1):
-            mat[off + i + 1][off + i] = 1 % q
-        off += part
-    return QuiverRep(Quiver.jordan_quiver(), q, (n,), (tuple(tuple(r) for r in mat),))
+    of each block): the chains of the one-vertex cycle."""
+    return rep_from_label(Quiver.jordan_quiver(), q, la)
 
 
 def cyclic_chain_rep(Q: Quiver, q: int, start: int, length: int) -> QuiverRep:
     """Indecomposable nilpotent chain of the cyclic quiver: basis slots at
     vertices start, start+1, ..., start+length-1 (mod n), each arrow sending
     slot c to slot c+1."""
-    if not Q.is_single_cycle():
-        raise ValueError("chain reps live on the cyclic quiver")
-    n = Q.n
-    slots = [(start + c) % n for c in range(length)]
-    dims = [0] * n
-    index: List[List[int]] = [[] for _ in range(n)]  # slot ids per vertex
-    for sid, v in enumerate(slots):
-        index[v].append(sid)
-        dims[v] += 1
-    pos_in_vertex = {}
-    for v in range(n):
-        for k, sid in enumerate(index[v]):
-            pos_in_vertex[sid] = k
-    mats = []
-    for (s, t) in Q.effective_arrows():
-        m = [[0] * dims[s] for _ in range(dims[t])]
-        for sid, v in enumerate(slots):
-            if v == s and sid + 1 < length and slots[sid + 1] == t:
-                m[pos_in_vertex[sid + 1]][pos_in_vertex[sid]] = 1 % q
-        mats.append(tuple(tuple(r) for r in m))
-    return QuiverRep(Q, q, tuple(dims), tuple(mats))
+    start %= Q.n
+    return rep_from_cyclic_label(Q, q, tuple((length,) if v == start else () for v in range(Q.n)))
 
 
 def rep_from_cyclic_label(Q: Quiver, q: int, label: Tuple[Partition, ...]) -> QuiverRep:
-    out = zero_rep(Q, q)
+    """Direct sum of the chains of a tuple-of-partitions label on a single
+    cycle: each part l of the partition at vertex I is a chain of l basis
+    slots at I, I+1, ... (mod n), each arrow sending a slot to the next. A
+    vertex's basis runs chain by chain in label order, as in a fold of
+    direct_sum over the chains."""
+    if not Q.is_single_cycle():
+        raise ValueError("chain reps live on the cyclic quiver")
+    n = Q.n
+    dims = [0] * n
+    links = []  # (vertex of a slot, its position there, the next slot's position)
     for start, la in enumerate(label):
         for part in la:
-            out = direct_sum(out, cyclic_chain_rep(Q, q, start, part))
-    return out
+            prev = None
+            for c in range(part):
+                v = (start + c) % n
+                if prev is not None:
+                    links.append(prev + (dims[v],))
+                prev = (v, dims[v])
+                dims[v] += 1
+    eff = Q.effective_arrows()
+    arrow_from = {s: idx for idx, (s, _) in enumerate(eff)}
+    mats = [[[0] * dims[s] for _ in range(dims[t])] for s, t in eff]
+    for v, src, dst in links:
+        mats[arrow_from[v]][dst][src] = 1
+    return QuiverRep(Q, q, tuple(dims), tuple(tuple(tuple(r) for r in m) for m in mats))
 
 
 # ---------------------------------------------------------------------------
@@ -805,61 +798,41 @@ def jordan_type(M: QuiverRep) -> Partition:
     """Partition label from ranks of powers of the loop matrix."""
     if not M.quiver.jordan:
         raise ValueError("jordan_type needs the jordan backend")
-    p = M.q
-    d = M.dims[0]
-    x = M.mats[0]
-    ranks = [d]
-    power = _identity(d)
-    while ranks[-1] > 0:
-        power = _matmul(x, power, p)
-        ranks.append(_rank(power, d, p))
-        if ranks[-1] == ranks[-2]:
-            raise ConsistencyError(
-                f"jordan_type at dimension vector {M.dims}, q={p}: the loop matrix is not nilpotent"
-            )
-    conj = []
-    for k in range(1, len(ranks)):
-        drop = ranks[k - 1] - ranks[k]
-        if drop:
-            conj.append(drop)
-    if sorted(conj, reverse=True) != conj:  # pragma: no cover
-        raise ConsistencyError("rank drops of a nilpotent matrix must decrease")
-    # conj is the conjugate partition; transpose back
-    la = []
-    for i in range(1, (conj[0] + 1) if conj else 1):
-        cnt = sum(1 for c in conj if c >= i)
-        if cnt:
-            la.append(cnt)
-    out = tuple(sorted(la, reverse=True))
-    if sum(out) != d:  # pragma: no cover
-        raise ConsistencyError("jordan type does not account for the dimension")
-    return out
+    return cyclic_type(M)[0]
 
 
 def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
-    """Tuple-of-partitions label for a nilpotent rep of the cyclic quiver,
-    from ranks of the composite path maps (no orbit search)."""
+    """Tuple-of-partitions label for a nilpotent rep of a single cycle (the
+    Jordan loop included), from ranks of the composite path maps (no orbit
+    search). T(i, l) = r(i, l-1) - r(i, l) counts the basis slots at vertex
+    i with exactly l-1 slots after them in their chain, so T(j, l) -
+    T(j-1, l+1) counts those with none before them: the chains of length l
+    that start at j."""
     Q = M.quiver
     if not Q.is_single_cycle():
         raise ValueError("cyclic_type needs the cyclic quiver")
     n = Q.n
     p = M.q
     D = M.total_dim()
+    where = f"classify_rep at dimension vector {M.dims}, q={p}"
     eff = Q.effective_arrows()
     arrow_from = {s: idx for idx, (s, t) in enumerate(eff)}
-    # r[i][l] = rank of the length-l path composite starting at vertex i
-    r = [[0] * (D + 3) for _ in range(n)]
+    # r[i][l] = rank of the length-l path composite starting at vertex i;
+    # each walk stops at its first zero rank, and a nilpotent rep of total
+    # dimension D has every length-D path map zero
+    r = [[0] * (D + 2) for _ in range(n)]
     for i in range(n):
         comp = _identity(M.dims[i])
         r[i][0] = M.dims[i]
         v = i
-        for l in range(1, D + 3):
+        for l in range(1, D + 1):
+            if not r[i][l - 1]:
+                break
             comp = _matmul(M.mats[arrow_from[v]], comp, p)
             v = (v + 1) % n
-            if not comp or not comp[0]:
-                r[i][l] = 0
-            else:
-                r[i][l] = _rank(comp, len(comp[0]), p)
+            r[i][l] = _rank(comp, len(comp[0]), p) if comp and comp[0] else 0
+        if r[i][D]:
+            raise ConsistencyError(f"{where}: the path maps are not nilpotent")
 
     def T(i: int, l: int) -> int:
         return r[i % n][l - 1] - r[i % n][l]
@@ -869,7 +842,7 @@ def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
         for l in range(1, D + 1):
             m = T(j, l) - T((j - 1) % n, l + 1)
             if m < 0:  # pragma: no cover
-                raise ConsistencyError("negative chain multiplicity")
+                raise ConsistencyError(f"{where}: negative chain multiplicity")
             if m:
                 mult[j][l] = m
     label = tuple(
@@ -877,7 +850,7 @@ def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
         for j in range(n)
     )
     if sum(sum(la) for la in label) != D:  # pragma: no cover
-        raise ConsistencyError("cyclic type does not account for the dimension")
+        raise ConsistencyError(f"{where}: the cyclic type does not account for the dimension")
     return label
 
 
@@ -968,7 +941,7 @@ def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> np.
     _int_dtype(layer, space - 1, "point codes", d, q)
     digit_dtype = np.uint8 if q <= 256 else np.int64
     D = sum(d)
-    use_fast_nilpotent = Q.nilpotent and (Q.jordan or Q.is_single_cycle()) and D > 0
+    use_fast_nilpotent = Q.nilpotent and Q.is_single_cycle() and D > 0
     if not use_fast_nilpotent:
         points = np.empty((space, nslots), dtype=digit_dtype)
         for start in range(0, space, _CHUNK):
@@ -983,7 +956,7 @@ def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> np.
         return points
 
     # single path structure per (i,j,k): the block-matrix power test is
-    # exact for the jordan loop and the single cycle; entries of the squared
+    # exact for a single cycle, the jordan loop included; entries of the squared
     # block matrices reach D (q-1)^2 before reduction
     work = _int_dtype(layer, D * (q - 1) ** 2, "nilpotency matrix powers", d, q)
     rows = max(1, _SUBCHUNK // (D * D))
@@ -1141,11 +1114,12 @@ def enumerate_iso_classes(
     nilpotent ones only when the quiver is flagged nilpotent.
 
     Returns (label, representative, orbit_size) triples, deterministically
-    ordered. The Jordan and cyclic backends use closed-form classifications
-    (labels are partitions / tuples of partitions, with m_I equal parts
-    at start vertex I): orbit size |GL_d| / a with
+    ordered. A nilpotent single cycle, the Jordan loop included, has one
+    closed-form classification by chains (labels are tuples of partitions,
+    with m_I equal parts at start vertex I; a Jordan label is the bare
+    partition, in dominance order): orbit size |GL_d| / a with
     a = q^(dim End M - sum m_I^2) prod |GL_{m_I}(F_q)|. force_generic
-    bypasses them for cross-checking against the orbit enumeration.
+    bypasses it for cross-checking against the orbit enumeration.
     """
     if isinstance(d, int):
         d = (d,)
@@ -1164,7 +1138,7 @@ def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], f
 
     def enumerate_(budget: int):
         out: List[IsoClass] = []
-        if (Q.jordan or Q.is_single_cycle() and Q.nilpotent) and not force_generic:
+        if Q.is_single_cycle() and Q.nilpotent and not force_generic:
             # M is a sum of uniserial chains, m_I copies of the chain I (one
             # start vertex and length) each; End M modulo its radical is the
             # product of the matrix rings M_{m_I}(F_q)
@@ -1175,7 +1149,7 @@ def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], f
             total = gl_order_vec(d, q)
             for label in labels:
                 rep = rep_from_label(Q, q, label)
-                mults = [la.count(part) for la in ((label,) if Q.jordan else label) for part in set(la)]
+                mults = [la.count(part) for la in _chain_label(Q, label) for part in set(la)]
                 a = q ** (hom_dim(rep, rep) - sum(m * m for m in mults))
                 a *= math.prod(gl_order(m, q) for m in mults)
                 if total % a:
@@ -1208,17 +1182,17 @@ def _invert_mat(m: Mat, p: int) -> Mat:
 
 
 def classify_rep(M: QuiverRep, budget: Optional[int] = None):
-    """Canonical IsoLabel of a representation: partition (Jordan), tuple of
-    partitions (cyclic nilpotent), else the lex-least orbit representative,
-    looked up by M's base-q code among the enumerated points at its
-    dimension vector; it needs what that enumeration needs."""
+    """Canonical IsoLabel of a representation: tuple of partitions on a
+    nilpotent single cycle (the bare partition on the Jordan loop), else
+    the lex-least orbit representative, looked up by M's base-q code among
+    the enumerated points at its dimension vector; it needs what that
+    enumeration needs."""
 
     def classify(budget: int):
         Q, q = M.quiver, M.q
-        if Q.jordan:
-            return 0, jordan_type(M)
         if Q.is_single_cycle() and Q.nilpotent:
-            return 0, cyclic_type(M)
+            label = cyclic_type(M)
+            return 0, label[0] if Q.jordan else label
         needed = _space_size(Q, q, M.dims)
         _require_budget("classify_rep", needed, budget, M.dims, q)
         classes, codes, owner = _iso_classes(Q, q, M.dims, budget)
@@ -1237,13 +1211,17 @@ def classify_rep(M: QuiverRep, budget: Optional[int] = None):
     return _cached("classify_rep", M, budget, M.dims, M.q, classify)
 
 
+def _chain_label(Q: Quiver, label) -> Tuple[Partition, ...]:
+    """A single cycle's IsoLabel as the tuple of partitions the chain code
+    reads: a Jordan label, a bare partition, is its one-vertex case."""
+    return (as_partition(label),) if Q.jordan else label
+
+
 def label_dim(Q: Quiver, label) -> Tuple[int, ...]:
     """Dimension vector of an IsoLabel."""
-    if Q.jordan:
-        return (sum(label),)
     if Q.is_single_cycle() and Q.nilpotent:
         dims = [0] * Q.n
-        for start, la in enumerate(label):
+        for start, la in enumerate(_chain_label(Q, label)):
             for part in la:
                 for c in range(part):
                     dims[(start + c) % Q.n] += 1
@@ -1253,10 +1231,8 @@ def label_dim(Q: Quiver, label) -> Tuple[int, ...]:
 
 
 def rep_from_label(Q: Quiver, q: int, label) -> QuiverRep:
-    if Q.jordan:
-        return jordan_rep(label, q)
     if Q.is_single_cycle() and Q.nilpotent:
-        return rep_from_cyclic_label(Q, q, label)
+        return rep_from_cyclic_label(Q, q, _chain_label(Q, label))
     dims, mats = label
     return QuiverRep(Q, q, tuple(dims), mats)
 

@@ -106,6 +106,24 @@ def test_quiver_mult_and_k(a2_path):
     assert json.loads(out)["element"][0]["coeff"] == "v^2"
 
 
+def test_jordan_mult_golden(tmp_path):
+    # cN@(d) on the Jordan loop indexes the partitions of d in dominance
+    # order; at d = 6 it differs from lexicographic order
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps(Quiver.jordan_quiver().to_json()))
+    code, out, _ = run(
+        ["mult", "c1@(3)*c2@(3)", "--backend", "quiver", "--quiver", str(path), "--format", "csv"]
+    )
+    assert code == 0
+    assert out == (
+        "label,k_offset,coeff\n"
+        "c5@(6),0,v^6\n"
+        "c6@(6),0,3\n"
+        "c8@(6),0,v^2\n"
+        "c9@(6),0,1\n"
+    )
+
+
 def test_verify_suites_pass(a2_path):
     code, out, _ = run(["verify", "serre", "--quiver", a2_path, "--q", "2"])
     assert code == 0

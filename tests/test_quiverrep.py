@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hallalg.classical import hall_poly
 from hallalg.exactnum import BudgetError, ConsistencyError, gauss_binomial
 from hallalg import quiverrep
-from hallalg.partitions import all_partitions, aut_poly
+from hallalg.partitions import all_partitions, aut_poly, dominance_key
 from hallalg.quiverrep import (
     Quiver,
     QuiverRep,
@@ -318,6 +318,11 @@ def test_enumerate_jordan():
     assert len(z) == 1 and z[0][0] == ()
     classes3 = enumerate_iso_classes(Quiver.jordan_quiver(), 3, (3,))
     assert {c[0] for c in classes3} == set(all_partitions(3))
+    # labels stay bare partitions in dominance order, which reports index as
+    # cN@(d); degree 6 is the first where it is not lexicographic
+    labels = [c[0] for c in enumerate_iso_classes(Quiver.jordan_quiver(), 2, 6)]
+    assert labels == sorted(all_partitions(6), key=dominance_key)
+    assert labels.index((3, 1, 1, 1)) < labels.index((2, 2, 2))
 
 
 def test_enumerate_jordan_generic_crosscheck():
@@ -738,6 +743,87 @@ def test_budget_errors():
         submodule_type_table(jordan_rep((2, 2, 1), 2), budget=3)
 
 
+def _chain_rep_ref(Q, q, start, length):
+    """Reference chain builder: slot ids per vertex, then one matrix per
+    arrow sending slot c to slot c+1."""
+    n = Q.n
+    slots = [(start + c) % n for c in range(length)]
+    dims = [0] * n
+    index = [[] for _ in range(n)]
+    for sid, v in enumerate(slots):
+        index[v].append(sid)
+        dims[v] += 1
+    pos_in_vertex = {}
+    for v in range(n):
+        for k, sid in enumerate(index[v]):
+            pos_in_vertex[sid] = k
+    mats = []
+    for (s, t) in Q.effective_arrows():
+        m = [[0] * dims[s] for _ in range(dims[t])]
+        for sid, v in enumerate(slots):
+            if v == s and sid + 1 < length and slots[sid + 1] == t:
+                m[pos_in_vertex[sid + 1]][pos_in_vertex[sid]] = 1 % q
+        mats.append(tuple(tuple(r) for r in m))
+    return QuiverRep(Q, q, tuple(dims), tuple(mats))
+
+
+def _chain_sum_ref(Q, q, label):
+    """Reference direct sum of a tuple-of-partitions label's chains, folded
+    one chain at a time."""
+    out = zero_rep(Q, q)
+    for start, la in enumerate(label):
+        for part in la:
+            out = direct_sum(out, _chain_rep_ref(Q, q, start, part))
+    return out
+
+
+def _jordan_rep_ref(la, q):
+    """Reference Jordan matrix: ones on the subdiagonal of each block."""
+    n = sum(la)
+    mat = [[0] * n for _ in range(n)]
+    off = 0
+    for part in la:
+        for i in range(part - 1):
+            mat[off + i + 1][off + i] = 1
+        off += part
+    return QuiverRep(Quiver.jordan_quiver(), q, (n,), (tuple(tuple(r) for r in mat),))
+
+
+def test_chain_builder_matches_direct_sum_fold():
+    # the one-pass builder lays each vertex's basis out chain by chain, so
+    # its matrices are those of the fold, on every single cycle
+    J = Quiver.jordan_quiver()
+    for q in (2, 3):
+        for n in range(6):
+            for la in all_partitions(n):
+                want = _jordan_rep_ref(la, q)
+                assert _chain_sum_ref(J, q, (la,)) == want
+                assert rep_from_label(J, q, la) == want
+                assert jordan_rep(la, q) == want
+        for k in range(1, 6):
+            assert cyclic_chain_rep(J, q, 0, k) == jordan_rep((k,), q)
+        for nq in (2, 3):
+            Q = Quiver.cyclic(nq)
+            for total in range(6):
+                for d in _dim_vectors(nq, total):
+                    for label in cyclic_labels_for_dim(Q, d):
+                        assert rep_from_label(Q, q, label) == _chain_sum_ref(Q, q, label)
+            for start in range(nq):
+                for k in range(6):
+                    assert cyclic_chain_rep(Q, q, start, k) == _chain_rep_ref(Q, q, start, k)
+
+
+def test_non_nilpotent_cycles_name_the_layer():
+    # the rank classifier names its layer, dimension vector and q when the
+    # path maps are not nilpotent, on the loop and on a longer cycle
+    loop = _unvalidated_rep(Quiver.jordan_quiver(), 2, (1,), (((1,),),))
+    with pytest.raises(ConsistencyError, match=r"classify_rep at dimension vector \(1,\), q=2: .*not nilpotent"):
+        classify_rep(loop)
+    two_cycle = _unvalidated_rep(Quiver.cyclic(2), 2, (1, 1), (((1,),), ((1,),)))
+    with pytest.raises(ConsistencyError, match=r"classify_rep at dimension vector \(1, 1\), q=2"):
+        classify_rep(two_cycle)
+
+
 def test_chain_rep_shapes():
     C3 = Quiver.cyclic(3)
     r = cyclic_chain_rep(C3, 2, 0, 4)
@@ -753,7 +839,8 @@ def test_quiver_derived_fields_are_fixed_and_invisible():
         (Quiver.a2(), ((0, 1),), False),
         (Quiver.kronecker(), ((0, 1), (0, 1)), False),
         (Quiver.cyclic(3), ((0, 1), (1, 2), (2, 0)), True),
-        (Quiver.jordan_quiver(), ((0, 0),), False),
+        # the Jordan loop is the cycle on one vertex
+        (Quiver.jordan_quiver(), ((0, 0),), True),
     ):
         assert Q.effective_arrows() == arrows
         assert Q.is_single_cycle() is cycle
