@@ -72,15 +72,14 @@ np = _DeferredNumpy()
 
 @dataclass(frozen=True)
 class Quiver:
-    """Finite quiver. Loops are forbidden in the arrow list; the Jordan
-    backend (nilpotent k[t]-modules) is the `jordan` flag on a one-vertex
-    quiver and behaves as an implicit loop, the cyclic quiver on one
+    """Finite quiver; a loop is an arrow like any other. `nilpotent`
+    restricts it to nilpotent representations. The Jordan quiver (nilpotent
+    k[t]-modules) is the nilpotent one-loop quiver, the cyclic quiver on one
     vertex."""
 
     vertices: Tuple[str, ...]
     arrows: Tuple[Tuple[str, str], ...] = ()
     nilpotent: bool = False
-    jordan: bool = False
     # derived once in __post_init__; not part of eq, hash or repr
     _effective_arrows: Tuple[Tuple[int, int], ...] = field(
         default=(), init=False, repr=False, compare=False
@@ -95,24 +94,20 @@ class Quiver:
         for s, t in self.arrows:
             if s not in self.vertices or t not in self.vertices:
                 raise ValueError(f"arrow ({s},{t}) references unknown vertex")
-            if s == t:
-                raise ValueError("loops are not allowed; use the jordan flag")
-        if self.jordan:
-            if len(self.vertices) != 1 or self.arrows:
-                raise ValueError("jordan backend is a single vertex with no arrows")
-            if not self.nilpotent:
-                object.__setattr__(self, "nilpotent", True)
         eff = tuple(
             (self.vertices.index(s), self.vertices.index(t)) for s, t in self.arrows
         )
-        if self.jordan:
-            eff = eff + ((0, 0),)
         object.__setattr__(self, "_effective_arrows", eff)
         object.__setattr__(self, "_single_cycle", self._find_single_cycle())
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def jordan(self) -> bool:
+        """The Jordan quiver; its labels are bare partitions in dominance order."""
+        return self.n == 1 and self.nilpotent and self._single_cycle
 
     def vertex_index(self, v: str) -> int:
         try:
@@ -121,11 +116,11 @@ class Quiver:
             raise ValueError(f"unknown vertex {v!r}")
 
     def effective_arrows(self) -> Tuple[Tuple[int, int], ...]:
-        """Arrow list as vertex-index pairs; the jordan flag adds the loop."""
+        """Arrow list as vertex-index pairs."""
         return self._effective_arrows
 
     def is_single_cycle(self) -> bool:
-        """True for the cyclic quiver: the effective arrows form one
+        """True for the cyclic quiver: the arrows form one
         directed cycle through every vertex, one arrow out of and into each
         vertex. The Jordan loop is the cycle on one vertex."""
         return self._single_cycle
@@ -158,44 +153,46 @@ class Quiver:
     @classmethod
     def cyclic(cls, n: int) -> "Quiver":
         if n < 2:
-            raise ValueError("cyclic quiver needs n >= 2 (n = 1 is the jordan flag)")
+            raise ValueError("cyclic quiver needs n >= 2 (n = 1 is jordan_quiver())")
         vs = tuple(str(i) for i in range(n))
         arrows = tuple((str(i), str((i + 1) % n)) for i in range(n))
         return cls(vs, arrows, nilpotent=True)
 
     @classmethod
     def jordan_quiver(cls) -> "Quiver":
-        return cls(("1",), (), nilpotent=True, jordan=True)
+        return cls(("1",), (("1", "1"),), nilpotent=True)
 
     # -- serialization
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "vertices": list(self.vertices),
             "arrows": [{"source": s, "target": t} for s, t in self.arrows],
             "nilpotent": self.nilpotent,
         }
-        if self.jordan:
-            data["jordan"] = True
-        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "Quiver":
         try:
-            return cls(
+            Q = cls(
                 tuple(str(v) for v in data["vertices"]),
                 tuple(
                     (str(a["source"]), str(a["target"]))
                     for a in data.get("arrows", ())
                 ),
                 bool(data.get("nilpotent", False)),
-                bool(data.get("jordan", False)),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(
                 'quiver JSON needs {"vertices": [...], "arrows": '
                 '[{"source": ..., "target": ...}, ...]}'
             ) from exc
+        if not data.get("jordan"):
+            return Q
+        # older files flag the Jordan quiver with "jordan": true, its loop implicit
+        if Q.n != 1 or Q.arrows:
+            raise ValueError("jordan backend is a single vertex with no arrows")
+        return cls(Q.vertices, (Q.vertices * 2,), nilpotent=True)
 
     @classmethod
     def load(cls, path: str) -> "Quiver":
@@ -204,7 +201,7 @@ class Quiver:
 
 
 def quiver_has_cycle(Q: Quiver) -> bool:
-    """True when some directed cycle exists (the jordan loop counts)."""
+    """True when some directed cycle exists (a loop counts)."""
     adj: Dict[int, List[int]] = {v: [] for v in range(Q.n)}
     for s, t in Q.effective_arrows():
         adj[s].append(t)
@@ -233,8 +230,8 @@ def quiver_has_cycle(Q: Quiver) -> bool:
 
 def euler_form_add(Q: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
     """Additive Euler form <alpha, beta> = sum a_i b_i - sum over arrows
-    a_{s(h)} b_{t(h)}; the jordan flag's implicit loop is included, which
-    makes the form identically zero on that backend."""
+    a_{s(h)} b_{t(h)}; a loop counts like any arrow, so the form is
+    identically zero on the Jordan quiver."""
     alpha, beta = tuple(alpha), tuple(beta)
     if len(alpha) != Q.n or len(beta) != Q.n:
         raise ValueError("dimension vectors must be indexed by the quiver vertices")
@@ -339,7 +336,7 @@ def subspace_count(d: int, k: int, p: int) -> int:
 @dataclass(frozen=True)
 class QuiverRep:
     """Representation of a quiver over F_q: dims per vertex, one matrix per
-    effective arrow with shape dim(target) x dim(source), entries mod q."""
+    arrow with shape dim(target) x dim(source), entries mod q."""
 
     quiver: Quiver
     q: int
@@ -855,7 +852,10 @@ def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
 
 
 def cyclic_labels_for_dim(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[Partition, ...]]:
-    """All tuple-of-partitions labels with the given dimension vector."""
+    """All tuple-of-partitions labels with the given dimension vector; on
+    the Jordan quiver, the bare partitions of d in dominance order."""
+    if Q.jordan:
+        return sorted(all_partitions(d[0]), key=dominance_key)
     # partition sizes per start vertex summing to the total dimension
     def compositions(k: int, rem: int):
         if k == 1:
@@ -1142,10 +1142,7 @@ def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], f
             # M is a sum of uniserial chains, m_I copies of the chain I (one
             # start vertex and length) each; End M modulo its radical is the
             # product of the matrix rings M_{m_I}(F_q)
-            if Q.jordan:
-                labels = sorted(all_partitions(d[0]), key=dominance_key)
-            else:
-                labels = cyclic_labels_for_dim(Q, d)
+            labels = cyclic_labels_for_dim(Q, d)
             total = gl_order_vec(d, q)
             for label in labels:
                 rep = rep_from_label(Q, q, label)

@@ -106,22 +106,39 @@ def test_quiver_mult_and_k(a2_path):
     assert json.loads(out)["element"][0]["coeff"] == "v^2"
 
 
+JORDAN_MULT_ROWS = (
+    "label,k_offset,coeff\n"
+    "c5@(6),0,v^6\n"
+    "c6@(6),0,3\n"
+    "c8@(6),0,v^2\n"
+    "c9@(6),0,1\n"
+)
+
+
+def _jordan_mult(path):
+    return run(
+        ["mult", "c1@(3)*c2@(3)", "--backend", "quiver", "--quiver", str(path), "--format", "csv"]
+    )
+
+
 def test_jordan_mult_golden(tmp_path):
     # cN@(d) on the Jordan loop indexes the partitions of d in dominance
     # order; at d = 6 it differs from lexicographic order
     path = tmp_path / "jordan.json"
     path.write_text(json.dumps(Quiver.jordan_quiver().to_json()))
-    code, out, _ = run(
-        ["mult", "c1@(3)*c2@(3)", "--backend", "quiver", "--quiver", str(path), "--format", "csv"]
-    )
+    code, out, _ = _jordan_mult(path)
     assert code == 0
-    assert out == (
-        "label,k_offset,coeff\n"
-        "c5@(6),0,v^6\n"
-        "c6@(6),0,3\n"
-        "c8@(6),0,v^2\n"
-        "c9@(6),0,1\n"
+    assert out == JORDAN_MULT_ROWS
+
+
+def test_legacy_jordan_file_gives_the_same_report(tmp_path):
+    # a file that flags the Jordan loop with "jordan": true, as files did
+    # before loops were arrows, reads as the one-loop nilpotent quiver
+    path = tmp_path / "legacy.json"
+    path.write_text(
+        json.dumps({"vertices": ["1"], "arrows": [], "nilpotent": True, "jordan": True})
     )
+    assert _jordan_mult(path) == (0, JORDAN_MULT_ROWS, "")
 
 
 def test_verify_suites_pass(a2_path):

@@ -155,11 +155,10 @@ def test_quiver_validation():
     with pytest.raises(ValueError):
         Quiver(("1", "1"))
     with pytest.raises(ValueError):
-        Quiver(("1",), (("1", "1"),))
-    with pytest.raises(ValueError):
         Quiver(("1", "2"), (("1", "3"),))
-    with pytest.raises(ValueError):
-        Quiver(("1", "2"), jordan=True)
+    # a loop is an arrow; unflagged, it is not the Jordan quiver
+    loop = Quiver(("1",), (("1", "1"),))
+    assert loop.effective_arrows() == ((0, 0),) and not loop.jordan
     jq = Quiver.jordan_quiver()
     assert jq.nilpotent and jq.jordan
     assert jq.effective_arrows() == ((0, 0),)
@@ -175,6 +174,66 @@ def test_quiver_validation():
 def test_quiver_json_roundtrip():
     for Q in (Quiver.a2(), Quiver.kronecker(), Quiver.cyclic(3), Quiver.jordan_quiver()):
         assert Quiver.from_json(Q.to_json()) == Q
+
+
+def test_quiver_json_reads_legacy_jordan_flag():
+    # the Jordan loop is written as an ordinary arrow, with no jordan key
+    data = Quiver.jordan_quiver().to_json()
+    assert data == {
+        "vertices": ["1"],
+        "arrows": [{"source": "1", "target": "1"}],
+        "nilpotent": True,
+    }
+    # older files flag the loop instead, and still load as the Jordan quiver
+    legacy = {"vertices": ["1"], "arrows": [], "nilpotent": True, "jordan": True}
+    assert Quiver.from_json(legacy) == Quiver.jordan_quiver()
+    assert Quiver.from_json({**legacy, "nilpotent": False}) == Quiver.jordan_quiver()
+    for bad in (
+        {**legacy, "vertices": ["1", "2"]},
+        {**legacy, "arrows": [{"source": "1", "target": "1"}]},
+    ):
+        with pytest.raises(ValueError, match="jordan backend is a single vertex with no arrows"):
+            Quiver.from_json(bad)
+
+
+def test_loop_quiver_class_counts():
+    # unflagged loops run the orbit enumeration: the one-loop quiver's
+    # classes are the conjugacy classes of n x n matrices, q + ... + q^n
+    # of them for n <= 3; the 2-loop quiver has q^2 at n = 1 and
+    # q^5 + q^4 + q^3 at n = 2
+    loop = Quiver(("1",), (("1", "1"),))
+    loop2 = Quiver(("1",), (("1", "1"), ("1", "1")))
+    nil2 = Quiver(("1",), (("1", "1"), ("1", "1")), nilpotent=True)
+    for Q, q, n, want in (
+        (loop, 2, 1, 2),
+        (loop, 2, 2, 6),
+        (loop, 2, 3, 14),
+        (loop, 3, 1, 3),
+        (loop, 3, 2, 12),
+        (loop, 5, 2, 30),
+        (loop2, 2, 1, 4),
+        (loop2, 2, 2, 56),
+        (loop2, 3, 1, 9),
+        (loop2, 3, 2, 351),
+        # nilpotent pairs of 2 x 2 matrices: q + 2 classes
+        (nil2, 2, 2, 4),
+        (nil2, 3, 2, 5),
+    ):
+        classes = enumerate_iso_classes(Q, q, n)
+        assert len(classes) == want, (Q, q, n)
+        assert sum(size for _, _, size in classes) == len(_enumerate_points(Q, q, (n,), 2 ** 24))
+
+
+def test_loop_quivers_pass_orbit_stabilizer():
+    from hallalg.verify import suite_orbit_stabilizer
+
+    for Q, deg, count in (
+        (Quiver(("1",), (("1", "1"),)), 3, 27),
+        (Quiver(("1",), (("1", "1"), ("1", "1"))), 2, 64),
+    ):
+        checks = suite_orbit_stabilizer(Q, 2, deg)
+        assert len(checks) == count
+        assert all(c["status"] == "pass" for c in checks)
 
 
 def test_euler_form():
@@ -323,6 +382,9 @@ def test_enumerate_jordan():
     labels = [c[0] for c in enumerate_iso_classes(Quiver.jordan_quiver(), 2, 6)]
     assert labels == sorted(all_partitions(6), key=dominance_key)
     assert labels.index((3, 1, 1, 1)) < labels.index((2, 2, 2))
+    # the one label lister of single cycles gives the same bare partitions
+    assert cyclic_labels_for_dim(Quiver.jordan_quiver(), (3,)) == [(1, 1, 1), (2, 1), (3,)]
+    assert cyclic_labels_for_dim(Quiver.jordan_quiver(), (6,)) == labels
 
 
 def test_enumerate_jordan_generic_crosscheck():
@@ -844,12 +906,12 @@ def test_quiver_derived_fields_are_fixed_and_invisible():
     ):
         assert Q.effective_arrows() == arrows
         assert Q.is_single_cycle() is cycle
-        # eq, hash and repr see only the four declared fields
-        assert Q == Quiver(Q.vertices, Q.arrows, Q.nilpotent, Q.jordan)
-        assert hash(Q) == hash((Q.vertices, Q.arrows, Q.nilpotent, Q.jordan))
+        # eq, hash and repr see only the three declared fields
+        assert Q == Quiver(Q.vertices, Q.arrows, Q.nilpotent)
+        assert hash(Q) == hash((Q.vertices, Q.arrows, Q.nilpotent))
         assert repr(Q) == (
             f"Quiver(vertices={Q.vertices!r}, arrows={Q.arrows!r}, "
-            f"nilpotent={Q.nilpotent!r}, jordan={Q.jordan!r})"
+            f"nilpotent={Q.nilpotent!r})"
         )
         assert Quiver.from_json(Q.to_json()) == Q
     assert Quiver.a2() != Quiver.kronecker()
