@@ -106,7 +106,7 @@ class Quiver:
 
     @property
     def jordan(self) -> bool:
-        """The Jordan quiver; its labels are bare partitions in dominance order."""
+        """True for the Jordan quiver, whose labels are bare partitions in dominance order."""
         return self.n == 1 and self.nilpotent and self._single_cycle
 
     def vertex_index(self, v: str) -> int:
