@@ -10,10 +10,10 @@ degree of nu. This module also
 holds the symmetric-function picture (elementary basis, Newton power sums,
 Hall-Littlewood style inner product).
 
-The product, coproduct, antipode and Green pairing are the engine's, run on
-its classical backend (engine.CLASSICAL). GenericHallElement and the
-*_generic functions are a partition-keyed view of them: {la: coeff} in
-place of the engine's {(la, ()): coeff}.
+Hall elements and their product, coproduct, antipode and Green pairing are
+the engine's, on its classical backend (engine.CLASSICAL): an element is
+{(la, ()): coeff}. to_symfun and from_symfun map between those elements and
+symmetric functions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .exactnum import (
     ConsistencyError,
     LaurentPoly,
     LinearCombination,
-    RationalFunction,
     gauss_binomial,
 )
 from .partitions import (
@@ -219,13 +218,16 @@ def _product_row(mu: Partition, la: Partition) -> Dict[Partition, LaurentPoly]:
 
 
 # ---------------------------------------------------------------------------
-# partition-keyed elements and their Hopf structure
+# symmetric functions in the elementary basis
 # ---------------------------------------------------------------------------
 
 
-class _PartitionCombination(LinearCombination):
-    """Linear combination keyed by partitions with Laurent coefficients;
-    keys are normalized (and merged), int coefficients promoted."""
+class SymFun(LinearCombination):
+    """Symmetric function as a finite sum of e_la monomials, la a partition.
+
+    e_la means the product e_{la_1} e_{la_2} ... ; coefficients are Laurent.
+    Keys are normalized (and merged), int coefficients promoted.
+    """
 
     __slots__ = ()
 
@@ -239,91 +241,6 @@ class _PartitionCombination(LinearCombination):
                 raise ValueError(f"coefficient must be LaurentPoly, got {c!r}")
             t[la] = t[la] + c if la in t else c
         super().__init__(None, t)
-
-
-class GenericHallElement(_PartitionCombination):
-    """Finite Z[t,t^-1]-linear combination of basis classes [I_la]."""
-
-    __slots__ = ()
-
-    @classmethod
-    def basis(cls, la: Partition) -> "GenericHallElement":
-        return cls({as_partition(la): L.one()})
-
-    @classmethod
-    def unit(cls) -> "GenericHallElement":
-        return cls({(): L.one()})
-
-    def coeff(self, la: Partition) -> LaurentPoly:
-        return self.terms.get(as_partition(la), L.zero())
-
-    def __mul__(self, other: "GenericHallElement") -> "GenericHallElement":
-        return mult_generic(self, other)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "GenericHallElement(0)"
-        bits = []
-        for la in sorted(self.terms, key=dominance_key):
-            bits.append(f"({self.terms[la].render()})*I{list(la)}")
-        return "GenericHallElement(" + " + ".join(bits) + ")"
-
-
-def _lift(x: GenericHallElement) -> "engine.HallElement":
-    return engine.HallElement(engine.CLASSICAL, {(la, ()): c for la, c in x.terms.items()})
-
-
-def _view(x: "engine.HallElement") -> GenericHallElement:
-    return GenericHallElement({la: c for (la, _), c in x.terms.items()})
-
-
-def mult_generic(x: GenericHallElement, y: GenericHallElement) -> GenericHallElement:
-    return _view(engine.multiply(engine.CLASSICAL, _lift(x), _lift(y)))
-
-
-TensorTerms = Dict[Tuple[Partition, Partition], LaurentPoly]
-
-
-def comult_generic(x: GenericHallElement) -> TensorTerms:
-    """Coproduct (k trivial): [I_nu] -> sum (a_mu a_la / a_nu) P^nu_{mu,la}
-    [I_mu] (x) [I_la]. A coefficient that is not Laurent raises
-    ConsistencyError."""
-    t = engine.comultiply(engine.CLASSICAL, _lift(x))
-    return {(mu, la): c for ((mu, _), (la, _)), c in t.terms.items()}
-
-
-def counit_generic(x: GenericHallElement) -> LaurentPoly:
-    return x.coeff(())
-
-
-def antipode_generic(x: GenericHallElement) -> GenericHallElement:
-    """Hopf antipode via the counit recursion: for nu nonempty
-    S([I_nu]) = -[I_nu] - sum over middle coproduct terms [I_mu] * S([I_la])."""
-    return _view(engine.antipode(engine.CLASSICAL, _lift(x)))
-
-
-def green_pairing_generic(
-    x: GenericHallElement, y: GenericHallElement
-) -> RationalFunction:
-    """Diagonal pairing ([I_la],[I_mu]) = delta / aut_poly(la)."""
-    return engine.pairing(engine.CLASSICAL, _lift(x), _lift(y))
-
-
-# ---------------------------------------------------------------------------
-# symmetric functions in the elementary basis
-# ---------------------------------------------------------------------------
-
-
-class SymFun(_PartitionCombination):
-    """Symmetric function as a finite sum of e_la monomials, la a partition.
-
-    e_la means the product e_{la_1} e_{la_2} ... ; coefficients are Laurent.
-    """
-
-    __slots__ = ()
 
     @classmethod
     def e(cls, r: int) -> "SymFun":
@@ -352,39 +269,32 @@ class SymFun(_PartitionCombination):
         return "SymFun(" + " + ".join(bits) + ")"
 
 
-def to_symfun(x: GenericHallElement, q_eval: Optional[int] = None):
-    """Image of a Hall element under the renormalized symmetric-function map
-    [I_(1^r)] -> t^(-r(r-1)/2) e_r (an algebra isomorphism).
-
-    With q_eval=None the result is a SymFun over Z[t,t^-1]; with an integer
-    q_eval >= 2 the coefficients are evaluated and a dict partition ->
-    Fraction is returned.
-    """
+def to_symfun(x: "engine.HallElement") -> SymFun:
+    """Image of a classical Hall element under the renormalized
+    symmetric-function map [I_(1^r)] -> t^(-r(r-1)/2) e_r (an algebra
+    isomorphism), as a SymFun over Z[t,t^-1]."""
     out = SymFun.zero()
-    for la, c in x.terms.items():
+    for (la, _), c in x.terms.items():
         expr = ibasis_in_elementary(weight(la)).get(la, {}) if la else {(): L.one()}
         for kappa, ck in expr.items():
             cols = conjugate(kappa)
             shift = -sum(r * (r - 1) // 2 for r in cols)
             coeff = (c * ck).shift(shift)
             out = out + SymFun({tuple(sorted(cols, reverse=True)): coeff})
-    if q_eval is None:
-        return out
-    if not isinstance(q_eval, int) or q_eval < 2:
-        raise ValueError("q_eval must be an integer >= 2")
-    return {la: c.evaluate(q_eval) for la, c in out.terms.items()}
+    return out
 
 
-def from_symfun(f: SymFun) -> GenericHallElement:
+def from_symfun(f: SymFun) -> "engine.HallElement":
     """Inverse of to_symfun: e_r -> t^(r(r-1)/2) [I_(1^r)], extended
-    multiplicatively over e-monomials."""
-    out = GenericHallElement.zero()
+    multiplicatively over e-monomials, on engine.CLASSICAL."""
+    b = engine.CLASSICAL
+    out = engine.HallElement.zero(b)
     for la, c in f.terms.items():
-        term = GenericHallElement.unit()
+        term = engine.HallElement.one(b)
         shift = 0
         for r in la:
             shift += r * (r - 1) // 2
-            term = mult_generic(term, GenericHallElement.basis((1,) * r))
+            term = engine.multiply(b, term, engine.HallElement.basis(b, (1,) * r))
         out = out + term.scale(c.shift(shift))
     return out
 
@@ -415,5 +325,5 @@ def hl_pairing(f: SymFun, g: SymFun, q: int) -> Fraction:
         raise ValueError("hl_pairing needs an integer q different from 1")
     if q < 2:
         raise ValueError("hl_pairing needs q >= 2")
-    val = green_pairing_generic(from_symfun(f), from_symfun(g))
+    val = engine.pairing(engine.CLASSICAL, from_symfun(f), from_symfun(g))
     return val.evaluate(q)

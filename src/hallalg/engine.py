@@ -10,8 +10,9 @@ All multiplication is the twisted one: [M][N] = v^<M,N> sum_R G^R_MN [R],
 with G the submodule count. The coproduct, Green pairing, antipode (two
 independent routes), inverse antipode, quantum Serre residual and the
 Drinfeld double cross-relation are built on top of the same backend
-protocol. This is the only implementation of the Hopf operations:
-hallalg.classical's partition-keyed functions run them on CLASSICAL.
+protocol. This is the only implementation of the Hopf operations and the
+only Hall element type; hallalg.classical's symmetric-function bridge
+(to_symfun, from_symfun, hl_pairing) works on CLASSICAL's elements.
 
 A backend gives its structure constants through hall(R, M, N), one Hall
 number G^R_MN; subtable(R), every nonzero G^R_MN of one R as {(M, N): G};
@@ -924,5 +925,5 @@ def drinfeld_cross(
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-# the backend behind hallalg.classical's partition-keyed Hopf functions
+# the classical backend of hallalg.classical's from_symfun and hl_pairing
 CLASSICAL = ClassicalGeneric()

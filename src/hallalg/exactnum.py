@@ -930,6 +930,10 @@ class LinearCombination:
         return not self.terms
 
     def __add__(self, other: "LinearCombination") -> "LinearCombination":
+        if type(other) is not type(self):
+            raise ValueError(
+                f"cannot add a {type(other).__name__} to a {type(self).__name__}"
+            )
         if other.backend is not self.backend:
             raise ValueError("elements live over different backends")
         out = dict(self.terms)

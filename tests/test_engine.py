@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import hallalg
 from hallalg import engine, quiverrep, verify
-from hallalg.classical import GenericHallElement, _view, hall_poly, ibasis_in_elementary, to_symfun
+from hallalg.classical import hall_poly, ibasis_in_elementary, to_symfun
 from hallalg.engine import (
     ClassicalGeneric,
     HallElement,
@@ -74,9 +74,8 @@ def dim21_labels(b, s1, s2, i12):
 
 
 # ---------------------------------------------------------------------------
-# classical backend against independent oracles (the classical module's
-# generic functions run on this engine, so they are no oracle); the antipode
-# is checked against the closed route in test_antipode_closed_matches_recursion
+# classical backend against independent oracles; the antipode is checked
+# against the closed route in test_antipode_closed_matches_recursion
 # ---------------------------------------------------------------------------
 
 
@@ -84,14 +83,13 @@ def test_classical_engine_mult_matches_symfun():
     # to_symfun is an injective algebra map, and SymFun products never call
     # hall_poly
     b = ClassicalGeneric()
-    H = GenericHallElement
     for n1 in range(4):
         for n2 in range(4 - n1):
             for la in all_partitions(n1):
                 for mu in all_partitions(n2):
-                    got = multiply(b, HallElement.basis(b, la), HallElement.basis(b, mu))
-                    want = to_symfun(H.basis(la)) * to_symfun(H.basis(mu))
-                    assert to_symfun(_view(got)) == want, (la, mu)
+                    x, y = HallElement.basis(b, la), HallElement.basis(b, mu)
+                    want = to_symfun(x) * to_symfun(y)
+                    assert to_symfun(multiply(b, x, y)) == want, (la, mu)
 
 
 def test_classical_engine_comult_matches_columns():
@@ -164,10 +162,11 @@ def test_module_imports_alone(module, flags):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hallalg.__file__)))
     code = (
         f"import {module}\n"
+        "from fractions import Fraction\n"
         "from hallalg import classical\n"
-        "x = classical.GenericHallElement.basis((1,))\n"
-        "if not classical.mult_generic(x, x).coeff((2,)).is_one():\n"
-        "    raise SystemExit('wrong product')\n"
+        "e1 = classical.SymFun.e(1)\n"
+        "if classical.hl_pairing(e1, e1, 2) != Fraction(1, 1):\n"
+        "    raise SystemExit('wrong pairing')\n"
     )
     proc = subprocess.run(
         [sys.executable, *flags, "-c", code],
@@ -241,6 +240,20 @@ def test_multiply_backend_mismatch():
     y = HallElement.one(b2)
     with pytest.raises(ValueError):
         multiply(b1, x, y)
+
+
+def test_elements_add_only_within_one_kind():
+    # a Hall element and a tensor over the same backend must not merge
+    # their keys into one combination
+    b = QuiverAtQ(Quiver.a2(), 2)
+    x = HallElement.one(b)
+    one_key = next(iter(x.terms))
+    t = TensorElement(b, {(one_key, one_key): b.one()})
+    for lhs, rhs in ((x, t), (t, x)):
+        with pytest.raises(ValueError):
+            lhs + rhs
+        with pytest.raises(ValueError):
+            lhs - rhs
 
 
 def test_budget_propagates():
