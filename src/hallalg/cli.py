@@ -7,7 +7,6 @@ error, 3 resource budget exceeded.
 """
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -169,6 +168,8 @@ def _load_backend(args):
 
 
 def _csv_text(header: List[str], rows: List[List[str]]) -> str:
+    import csv  # only CSV output needs it, so importing the CLI skips it
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)

@@ -39,7 +39,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import BudgetError, ConsistencyError, is_prime
@@ -70,35 +69,70 @@ np = _DeferredNumpy()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quiver:
+class _Frozen:
+    """Base of the immutable values Quiver and QuiverRep: assignment and
+    deletion raise AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Quiver(_Frozen):
     """Finite quiver; a loop is an arrow like any other. `nilpotent`
     restricts it to nilpotent representations. The Jordan quiver (nilpotent
     k[t]-modules) is the nilpotent one-loop quiver, the cyclic quiver on one
-    vertex."""
+    vertex. Immutable; eq, hash and repr see the three constructor fields
+    only, not the two derived once here."""
 
-    vertices: Tuple[str, ...]
-    arrows: Tuple[Tuple[str, str], ...] = ()
-    nilpotent: bool = False
-    # derived once in __post_init__; not part of eq, hash or repr
-    _effective_arrows: Tuple[Tuple[int, int], ...] = field(
-        default=(), init=False, repr=False, compare=False
-    )
-    _single_cycle: bool = field(default=False, init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "arrows", "nilpotent", "_effective_arrows", "_single_cycle")
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(
+        self,
+        vertices: Sequence[str],
+        arrows: Sequence[Tuple[str, str]] = (),
+        nilpotent: bool = False,
+    ):
+        vertices = tuple(vertices or ())
+        if not vertices:
             raise ValueError("quiver needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex names")
-        for s, t in self.arrows:
-            if s not in self.vertices or t not in self.vertices:
+        arrows = tuple((s, t) for s, t in arrows)
+        for s, t in arrows:
+            if s not in vertices or t not in vertices:
                 raise ValueError(f"arrow ({s},{t}) references unknown vertex")
-        eff = tuple(
-            (self.vertices.index(s), self.vertices.index(t)) for s, t in self.arrows
+        eff = tuple((vertices.index(s), vertices.index(t)) for s, t in arrows)
+        _set = object.__setattr__
+        _set(self, "vertices", vertices)
+        _set(self, "arrows", arrows)
+        _set(self, "nilpotent", nilpotent)
+        _set(self, "_effective_arrows", eff)
+        _set(self, "_single_cycle", self._find_single_cycle())
+
+    # eq and hash spell the fields out, as they sit on every cache lookup
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.arrows, self.nilpotent) == (
+            other.vertices, other.arrows, other.nilpotent
         )
-        object.__setattr__(self, "_effective_arrows", eff)
-        object.__setattr__(self, "_single_cycle", self._find_single_cycle())
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows, self.nilpotent))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(vertices={self.vertices!r}, "
+            f"arrows={self.arrows!r}, nilpotent={self.nilpotent!r})"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.vertices, self.arrows, self.nilpotent)
 
     @property
     def n(self) -> int:
@@ -333,34 +367,62 @@ def subspace_count(d: int, k: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuiverRep:
+class QuiverRep(_Frozen):
     """Representation of a quiver over F_q: dims per vertex, one matrix per
-    arrow with shape dim(target) x dim(source), entries mod q."""
+    arrow with shape dim(target) x dim(source), entries mod q. Immutable;
+    list inputs are stored as tuples, so equal inputs give equal, hashable
+    representations."""
 
-    quiver: Quiver
-    q: int
-    dims: Tuple[int, ...]
-    mats: Tuple[Mat, ...]
+    __slots__ = ("quiver", "q", "dims", "mats")
 
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"q must be prime, got {self.q}")
-        if len(self.dims) != self.quiver.n or any(d < 0 for d in self.dims):
+    def __init__(self, quiver: Quiver, q: int, dims: Sequence[int], mats: Sequence[Mat]):
+        if not is_prime(q):
+            raise ValueError(f"q must be prime, got {q}")
+        dims = tuple(dims)
+        if len(dims) != quiver.n or any(d < 0 for d in dims):
             raise ValueError("bad dimension vector")
-        eff = self.quiver.effective_arrows()
-        if len(self.mats) != len(eff):
+        eff = quiver.effective_arrows()
+        if len(mats) != len(eff):
             raise ValueError("need one matrix per effective arrow")
-        for (s, t), m in zip(eff, self.mats):
-            if len(m) != self.dims[t]:
+        checked = []
+        for (s, t), m in zip(eff, mats):
+            if len(m) != dims[t]:
                 raise ValueError("matrix row count must match target dimension")
+            rows = []
             for row in m:
-                if len(row) != self.dims[s]:
+                if len(row) != dims[s]:
                     raise ValueError("matrix col count must match source dimension")
-                if any(not (0 <= x < self.q) for x in row):
+                if any(not (0 <= x < q) for x in row):
                     raise ValueError("entries must be reduced mod q")
-        if self.quiver.nilpotent and not self._is_nilpotent():
+                rows.append(tuple(row))
+            checked.append(tuple(rows))
+        _set = object.__setattr__
+        _set(self, "quiver", quiver)
+        _set(self, "q", q)
+        _set(self, "dims", dims)
+        _set(self, "mats", tuple(checked))
+        if quiver.nilpotent and not self._is_nilpotent():
             raise ValueError("representation is not nilpotent but the quiver requires it")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.quiver, self.q, self.dims, self.mats) == (
+            other.quiver, other.q, other.dims, other.mats
+        )
+
+    def __hash__(self):
+        return hash((self.quiver, self.q, self.dims, self.mats))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(quiver={self.quiver!r}, q={self.q!r}, "
+            f"dims={self.dims!r}, mats={self.mats!r})"
+        )
+
+    def __reduce__(self):
+        # no re-validation, so a rep from _unvalidated_rep copies and pickles too
+        return _unvalidated_rep, (self.quiver, self.q, self.dims, self.mats)
 
     def _is_nilpotent(self) -> bool:
         """Iterated graded image must shrink to zero. Exact for any quiver."""

@@ -262,26 +262,30 @@ def test_render_tensor_scalar_times_unit_factor():
 GOLDENS = Path(__file__).resolve().parents[1] / "hallbench" / "goldens" / "cli"
 
 # runs the requests in order in a fresh interpreter and prints, as JSON,
-# whether numpy was loaded after the import and after each request, and each
+# which of the probed modules the import and each request loaded, and each
 # request's exit code and stdout
-_NUMPY_PROBE = """
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
+probed = ("csv", "dataclasses", "inspect", "numpy")
+loaded = lambda: {m for m in probed if m in sys.modules}
 import hallalg.cli
 
-seen, outs = {"import": "numpy" in sys.modules}, {}
+new, outs = {"import": sorted(loaded())}, {}
 for name, argv in json.loads(sys.argv[1]):
+    before = loaded()
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = hallalg.cli.main(argv)
     outs[name] = [code, buf.getvalue()]
-    seen[name] = "numpy" in sys.modules
-print(json.dumps({"numpy": seen, "out": outs}))
+    new[name] = sorted(loaded() - before)
+print(json.dumps({"new": new, "out": outs}))
 """
 
 
 def test_classical_requests_leave_numpy_unloaded(a2_path):
-    # numpy loads on the first call into a quiverrep kernel, so starting the
-    # CLI and every classical request of the benchmark's cli mix skip it
+    # numpy loads on the first call into a quiverrep kernel and csv on the
+    # first CSV output, so starting the CLI loads neither, and no classical
+    # request of the benchmark's cli mix loads numpy, dataclasses or inspect
     requests = [
         ("hallpoly-latex", ["hallpoly", "[3,2,1]", "[2,1]", "[2,1]", "--format", "latex"]),
         ("mult-classical", ["mult", "[1]*[2,1]*[1]", "--backend", "classical"]),
@@ -297,14 +301,17 @@ def test_classical_requests_leave_numpy_unloaded(a2_path):
     src = str(Path(hallalg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(requests)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(requests)],
         env=env, capture_output=True, text=True, check=True,
     )
     got = json.loads(proc.stdout)
-    assert got["numpy"] == {
-        "import": False, "hallpoly-latex": False, "mult-classical": False,
-        "comult-classical-latex": False, "antipode-classical-csv": False,
-        "verify-green": False, "mult-quiver": True,
+    new = got["new"]
+    # numpy may bring inspect or dataclasses with it; only its own load is pinned
+    assert "numpy" in new.pop("mult-quiver")
+    assert new == {
+        "import": [], "hallpoly-latex": [], "mult-classical": [],
+        "comult-classical-latex": [], "antipode-classical-csv": ["csv"],
+        "verify-green": [],
     }
     for name, _ in requests:
         assert got["out"][name] == [0, (GOLDENS / f"{name}.out").read_text()], name

@@ -1,8 +1,10 @@
 """Finite-field quiver representation kernel: enumeration, classification,
 Hom/Aut counting, submodule tables."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -917,6 +919,79 @@ def test_quiver_derived_fields_are_fixed_and_invisible():
     assert Quiver.a2() != Quiver.kronecker()
     # a 3-cycle through the vertices out of declaration order is still one cycle
     assert Quiver(("a", "b", "c"), (("a", "c"), ("c", "b"), ("b", "a"))).is_single_cycle()
+
+
+def _sample_reps():
+    return (
+        QuiverRep(Quiver.a2(), 3, (1, 2), (((1,), (2,)),)),
+        QuiverRep(Quiver.kronecker(), 2, (1, 1), (((1,),), ((0,),))),
+        cyclic_chain_rep(Quiver.cyclic(3), 2, 0, 4),
+        jordan_rep((2, 1), 3),
+        zero_rep(Quiver.a2(), 5),
+    )
+
+
+def test_quiver_rep_fields_are_fixed_and_visible():
+    for R in _sample_reps():
+        # eq, hash and repr see the four fields, like Quiver's three
+        assert R == QuiverRep(R.quiver, R.q, R.dims, R.mats)
+        assert hash(R) == hash((R.quiver, R.q, R.dims, R.mats))
+        assert repr(R) == (
+            f"QuiverRep(quiver={R.quiver!r}, q={R.q!r}, dims={R.dims!r}, "
+            f"mats={R.mats!r})"
+        )
+        assert R != QuiverRep(R.quiver, 7, R.dims, R.mats)
+        for name in ("quiver", "q", "dims", "mats", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(R, name, None)
+            with pytest.raises(AttributeError):
+                delattr(R, name)
+    Q = Quiver.a2()
+    for name in ("vertices", "arrows", "nilpotent", "_effective_arrows", "_single_cycle"):
+        with pytest.raises(AttributeError):
+            setattr(Q, name, None)
+        with pytest.raises(AttributeError):
+            delattr(Q, name)
+    assert Q.effective_arrows() == ((0, 1),)
+    assert Q != "Quiver.a2()" and QuiverRep(Q, 2, (0, 0), ((),)) != Q
+
+
+def test_quivers_and_reps_survive_copy_and_pickle():
+    # a non-nilpotent loop from the internal constructor copies too: a copy
+    # does not re-run the checks its original skipped
+    loop = _unvalidated_rep(Quiver.jordan_quiver(), 2, (1,), (((1,),),))
+    quivers = (Quiver.a2(), Quiver.kronecker(), Quiver.cyclic(3), Quiver.jordan_quiver())
+    for obj in quivers + _sample_reps() + (loop,):
+        for dup in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            c = dup(obj)
+            assert type(c) is type(obj) and c == obj and hash(c) == hash(obj)
+            assert repr(c) == repr(obj)
+            Q, cQ = (obj, c) if isinstance(obj, Quiver) else (obj.quiver, c.quiver)
+            assert cQ.effective_arrows() == Q.effective_arrows()
+            assert cQ.is_single_cycle() is Q.is_single_cycle()
+            assert cQ.jordan is Q.jordan
+
+
+def test_list_inputs_give_the_tuple_built_objects(monkeypatch):
+    # lists are stored as tuples, so list-built quivers and reps are equal
+    # to, hash like, and classify like the tuple-built ones
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    A2 = Quiver(["1", "2"], [["1", "2"]])
+    assert A2 == Quiver.a2() and hash(A2) == hash(Quiver.a2())
+    assert A2.vertices == ("1", "2") and A2.arrows == (("1", "2"),)
+    R = QuiverRep(A2, 2, [1, 1], [[[1]]])
+    assert R == QuiverRep(Quiver.a2(), 2, (1, 1), (((1,),),))
+    assert R.dims == (1, 1) and R.mats == (((1,),),)
+    assert classify_rep(R) == classify_rep(QuiverRep(Quiver.a2(), 2, (1, 1), (((1,),),)))
+    assert enumerate_iso_classes(A2, 2, (1, 1)) == enumerate_iso_classes(Quiver.a2(), 2, (1, 1))
+    assert submodule_type_table(R) == submodule_type_table(
+        QuiverRep(Quiver.a2(), 2, (1, 1), (((1,),),))
+    )
+    J = Quiver(["1"], [["1", "1"]], nilpotent=True)
+    ref = jordan_rep((2, 1), 3)
+    N = QuiverRep(J, 3, [3], [[list(row) for row in m] for m in ref.mats])
+    assert N == ref
+    assert classify_rep(N) == (2, 1)
 
 
 def test_budget_errors_ignore_warm_caches(monkeypatch):
