@@ -66,11 +66,12 @@ def is_prime(n: int) -> bool:
 class LaurentPoly:
     """Laurent polynomial with integer coefficients, dict of exp -> coeff.
 
-    Instances are treated as immutable; all operations return new objects.
-    The stored dict never holds a zero coefficient, which __eq__, __hash__
-    and is_zero rely on. The constructor validates and canonicalizes its
-    input; the arithmetic builds its results with _laurent, which skips
-    both because it drops zero coefficients itself.
+    Instances are immutable, so zero() and one() hand out shared
+    constants, and an operation may return an operand itself: p * 1 and
+    p + 0 are p. The stored dict never holds a zero coefficient, which
+    __eq__, __hash__ and is_zero rely on. The constructor validates and
+    canonicalizes its input; the arithmetic builds its results with
+    _laurent, which skips both because it drops zero coefficients itself.
     """
 
     __slots__ = ("_c",)
@@ -97,11 +98,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _ONE
 
     @classmethod
     def t(cls) -> "LaurentPoly":
@@ -163,6 +164,10 @@ class LaurentPoly:
             other = LaurentPoly.from_int(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if not other._c:
+            return self
+        if not self._c:
+            return other
         c = dict(self._c)
         for e, v in other._c.items():
             w = c.get(e, 0) + v
@@ -192,6 +197,10 @@ class LaurentPoly:
             other = LaurentPoly.from_int(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if len(self._c) == 1:
+            return _times_monomial(self, other)
+        if len(other._c) == 1:
+            return _times_monomial(other, self)
         c: Dict[int, int] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
@@ -342,6 +351,20 @@ def _laurent(c: Dict[int, int]) -> LaurentPoly:
     x = object.__new__(LaurentPoly)
     x._c = c
     return x
+
+
+_ZERO = _laurent({})
+_ONE = _laurent({0: 1})
+
+
+def _times_monomial(m: LaurentPoly, p: LaurentPoly) -> LaurentPoly:
+    """m * p for a one-term m = c*t^e: p itself when m is 1, else each term
+    of p shifted by e and scaled by c. No product of two nonzero ints is 0,
+    so no coefficient needs dropping."""
+    ((e, c),) = m._c.items()
+    if e == 0 and c == 1:
+        return p
+    return _laurent({e + e2: c * v for e2, v in p._c.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +675,8 @@ class QrtScalar:
     a + b*sqrt(q); the properties .a and .b give them back as Fractions.
     The arithmetic builds its results with _qrt, which skips the
     validation because its operands were already checked. Instances are
-    immutable, so a backend may hand out one zero and one one.
+    immutable, so a backend may hand out one zero and one one, and x * 1
+    and x + 0 return x itself.
     """
 
     __slots__ = ("q", "_n", "_m", "_d")
@@ -716,6 +740,10 @@ class QrtScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o._n and not o._m:
+            return self
+        if not self._n and not self._m:
+            return o
         d1, d2 = self._d, o._d
         if d1 == d2:
             return _qrt_reduced(self.q, self._n + o._n, self._m + o._m, d1)
@@ -742,6 +770,10 @@ class QrtScalar:
         if o is None:
             return NotImplemented
         n1, m1, n2, m2 = self._n, self._m, o._n, o._m
+        if n2 == 1 and not m2 and o._d == 1:
+            return self
+        if n1 == 1 and not m1 and self._d == 1:
+            return o
         # most factors are rational (structure constants, aut orders)
         if not m2:
             n, m = n1 * n2, m1 * n2

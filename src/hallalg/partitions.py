@@ -24,7 +24,20 @@ def is_partition(parts) -> bool:
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
+# each partition all_partitions has returned, keyed by itself: a tuple equal
+# to one of them (an int-valued float or a numpy int as a part compares
+# equal too) is canonicalized by one lookup
+_KNOWN: Dict[Partition, Partition] = {}
+
+
 def as_partition(seq) -> Partition:
+    if type(seq) is tuple:
+        try:
+            p = _KNOWN.get(seq)
+        except TypeError:  # an unhashable part; int() below names it
+            p = None
+        if p is not None:
+            return p
     p = tuple(map(int, seq))
     # the parts are ints now, so is_partition's checks reduce to these two
     if p and (p[-1] <= 0 or not all(map(ge, p, p[1:]))):
@@ -50,7 +63,9 @@ def all_partitions(n: int) -> Tuple[Partition, ...]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    return tuple(gen(n, n))
+    out = tuple(gen(n, n))
+    _KNOWN.update(zip(out, out))
+    return out
 
 
 def conjugate(la: Partition) -> Partition:

@@ -868,3 +868,113 @@ def test_rational_function_ops_match_sympy_cancel(n1, d1, n2, d2, i, j):
         s = max(0, -ours.num.valuation()) if not ours.is_zero() else 0
         got = (ours.num.shift(s)._c, ours.den.shift(s)._c)
         assert got == _sympy_parts(sympy, theirs, t)
+
+
+# Oracle tests for the shortcuts in LaurentPoly and QrtScalar arithmetic: a
+# factor 1 or an addend 0 gives back the other operand, and a one-term
+# factor c*t^e shifts and scales the other one. The operands are drawn so
+# that every shortcut and the general path are reached, in both orders; the
+# oracles are a plain dict convolution and (Fraction, Fraction) arithmetic.
+_shortcut_laurents = st.one_of(
+    st.sampled_from((L.zero(), L.one(), L(), L({0: 1}))),
+    st.builds(L.monomial, st.integers(-4, 4), st.sampled_from((1, -1))),
+    st.builds(L.monomial, st.integers(-4, 4), st.integers(-6, 6).filter(bool)),
+    _laurents,
+)
+
+
+def _dict_product(a, b):
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def _dict_sum(a, b):
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
+def test_laurent_zero_and_one_are_the_plain_values():
+    assert L.zero() == L() and L.one() == L({0: 1})
+    assert L.zero() is L.zero() and L.one() is L.one()
+    assert dict(L.zero().items()) == {} and dict(L.one().items()) == {0: 1}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_shortcut_laurents, _shortcut_laurents)
+def test_laurent_shortcuts_match_dict_oracle(a, b):
+    da, db = dict(a.items()), dict(b.items())
+    for x, y, dx, dy in ((a, b, da, db), (b, a, db, da)):
+        for got, want in ((x * y, _dict_product(dx, dy)), (x + y, _dict_sum(dx, dy))):
+            _canonical(got)
+            assert dict(got.items()) == want
+    for n in (0, 1, -1, 3):
+        for got in (a * n, n * a):
+            assert dict(got.items()) == _dict_product(da, {0: n} if n else {})
+        for got in (a + n, n + a):
+            assert dict(got.items()) == _dict_sum(da, {0: n} if n else {})
+    # no operand changed, the shared constants included
+    assert dict(a.items()) == da and dict(b.items()) == db
+    assert dict(L.zero().items()) == {} and dict(L.one().items()) == {0: 1}
+
+
+@st.composite
+def _shortcut_scalars(draw):
+    """A prime and the parts of two scalars; each is 0, 1, +-nu^k, c*nu^k
+    or general."""
+    q = draw(_primes)
+
+    def parts():
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            return Fraction(0), Fraction(0)
+        if kind == 1:
+            return Fraction(1), Fraction(0)
+        if kind in (2, 3):
+            c = draw(st.sampled_from((1, -1))) if kind == 2 else draw(_parts.filter(bool))
+            x = QrtScalar.nu(q, draw(st.integers(-4, 4))) * c
+            return x.a, x.b
+        return draw(_pairs)
+
+    return q, parts(), parts()
+
+
+def _fraction_product(q, x, y):
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 + q * b1 * b2, a1 * b2 + a2 * b1
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_shortcut_scalars())
+def test_qrt_scalar_shortcuts_match_fraction_oracle(operands):
+    q, xp, yp = operands
+    x, y = QrtScalar(q, *xp), QrtScalar(q, *yp)
+    parts = [(s, (s._n, s._m, s._d)) for s in (x, y)]
+    for u, v, up, vp in ((x, y, xp, yp), (y, x, yp, xp)):
+        prod, total = u * v, u + v
+        _qrt_canonical(prod)
+        _qrt_canonical(total)
+        assert (prod.a, prod.b) == _fraction_product(q, up, vp)
+        assert (total.a, total.b) == (up[0] + vp[0], up[1] + vp[1])
+        for n in (0, 1, Fraction(1), Fraction(0), -2):
+            for got in (u * n, n * u):
+                _qrt_canonical(got)
+                assert (got.a, got.b) == (up[0] * n, up[1] * n)
+            for got in (u + n, n + u):
+                _qrt_canonical(got)
+                assert (got.a, got.b) == (up[0] + n, up[1])
+    # the q check still runs when one side is 0 or 1
+    other = 3 if q == 2 else 2
+    for s in (QrtScalar(other, 0), QrtScalar(other, 1)):
+        for op in (operator.mul, operator.add):
+            with pytest.raises(ValueError, match="different q"):
+                op(x, s)
+            with pytest.raises(ValueError, match="different q"):
+                op(s, x)
+    # no operand changed
+    for s, before in parts:
+        assert (s._n, s._m, s._d) == before

@@ -173,3 +173,41 @@ def test_aut_poly_check_raises_consistency_error(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "is_polynomial", lambda self: False)
     with pytest.raises(ConsistencyError):
         aut_poly.__wrapped__((2, 1))
+
+
+def test_as_partition_gives_int_tuples_before_and_after_the_index(monkeypatch):
+    # all_partitions indexes what it returns, and as_partition hands a tuple
+    # equal to one of those the stored tuple; an equal tuple with float,
+    # numpy or bool parts must still come back as a tuple of ints
+    np = pytest.importorskip("numpy")
+    cases = (
+        ((2, 1.0), (2, 1)),
+        ((np.int64(2), 1), (2, 1)),
+        ([2, 1], (2, 1)),
+        ((True,), (1,)),
+    )
+    bad_parts = ((1, 2), (0,), (2, -1), (2, 1.5, 0), [1.0, 2])
+
+    def check():
+        for seq, want in cases:
+            got = as_partition(seq)
+            assert got == want and type(got) is tuple
+            assert all(type(p) is int for p in got), (seq, got)
+        for seq in bad_parts:
+            with pytest.raises(ValueError) as err:
+                as_partition(seq)
+            assert str(err.value) == (
+                f"not a partition (need weakly decreasing positive parts): {seq!r}"
+            )
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            as_partition((2, "x"))
+        with pytest.raises(TypeError):
+            as_partition(([2], 1))
+
+    monkeypatch.setattr(hallalg.partitions, "_KNOWN", {})
+    all_partitions.cache_clear()
+    check()
+    stored = all_partitions(3)
+    assert hallalg.partitions._KNOWN[(2, 1)] is stored[1]
+    check()
+    assert as_partition((2, 1.0)) is stored[1]
