@@ -12,15 +12,17 @@ def _render_both(cid, lhs, rhs, render):
 
 
 _CASES = {
-    f"{name}-classical": (name, {"backend": "classical", "deg": 4})
-    for name in ("green", "hopf-pairing", "antipode")
+    **{
+        f"{name}-classical": (name, {"backend": "classical", "deg": 4})
+        for name in ("green", "hopf-pairing", "antipode")
+    },
+    "steinitz-classical": ("steinitz", {"deg": 4}),
+    **{
+        f"{name}-{qname}": (name, {"backend": "quiver", "quiver": Q, "q": 2, "deg": 3})
+        for qname, Q in (("a2", Quiver.a2()), ("kronecker", Quiver.kronecker()))
+        for name in ("green", "hopf-pairing", "antipode")
+    },
 }
-_CASES["steinitz-classical"] = ("steinitz", {"deg": 4})
-for _qname, _Q in (("a2", Quiver.a2()), ("kronecker", Quiver.kronecker())):
-    for _name in ("green", "hopf-pairing", "antipode"):
-        _CASES[f"{_name}-{_qname}"] = (
-            _name, {"backend": "quiver", "quiver": _Q, "q": 2, "deg": 3}
-        )
 
 
 @pytest.mark.parametrize("name,kwargs", list(_CASES.values()), ids=list(_CASES))
