@@ -14,23 +14,28 @@ protocol. This is the only implementation of the Hopf operations and the
 only Hall element type; hallalg.classical's symmetric-function bridge
 (to_symfun, from_symfun, hl_pairing) works on CLASSICAL's elements.
 
-A backend gives its structure constants through hall(R, M, N), one Hall
-number G^R_MN; subtable(R), every nonzero G^R_MN of one R as {(M, N): G};
-and aut(M), |Aut M|. A product row asks hall once per R of its dimension,
-so a classical product computes only the Hall polynomials it needs; the
-coproduct and the closed antipode read whole subtables. On quivers hall
-is a lookup into subtable, which is R's submodule type table.
+A backend gives its structure constants one dimension vector at a time:
+row(M, N), every nonzero G^R_MN of one product as {R: G}; subtable(R),
+every nonzero G^R_MN of one R as {(M, N): G}; hall(R, M, N), one Hall
+number, a lookup into them; and aut(M), |Aut M|. Products read rows; the
+coproduct and the closed antipode read subtables. Each backend memoizes
+_subtables(gamma), the subtables of every R of dimension gamma: on
+quivers one submodule_type_tables pass over the class representatives of
+gamma, classically the product rows of weight gamma transposed. A quiver
+row is read from the subtables of its dimension, transposed once per
+dimension; a classical row is classical._product_row with the lighter
+factor on the right, which hallalg.classical caches.
 
 Each backend instance keeps one memo, filled by the functions decorated
-with _memoized (class tables, product rows, coproduct terms, antipode
-values, classes of a dimension and each 1/a_M in the pairing ring); it
-lives as long as the backend. On quivers the classes entry of a
-dimension vector also holds each class's index, representative and
-|Aut|, all read from its enumeration, and the memo keeps each label's
-dimension vector and report string and the Euler form of each pair of
-dimension vectors asked for. The quiver backend builds its zero and one
-scalars once, when it checks q, and hands out those; scalars are
-immutable, so sharing them is safe.
+with _memoized (class tables, subtables and quiver rows of a dimension,
+coproduct terms, antipode values, classes of a dimension and each 1/a_M
+in the pairing ring); it lives as long as the backend. On quivers the
+classes entry of a dimension vector also holds each class's index,
+representative and |Aut|, all read from its enumeration, and the memo
+keeps each label's dimension vector and report string and the Euler form
+of each pair of dimension vectors asked for. The quiver backend builds
+its zero and one scalars once, when it checks q, and hands out those;
+scalars are immutable, so sharing them is safe.
 
 multiply and TensorElement.product take each pair of basis terms through
 one step, _basis_product: the twist exponent, the offset sum and the
@@ -123,19 +128,29 @@ class ClassicalGeneric:
         # labels are canonical partitions, so skip hall_poly's normalization
         return classical._hall_poly(R, M, N)
 
-    @_memoized
+    def row(self, M, N) -> Dict:
+        """{R: G^R_MN} over the nonzero terms: classical's product row, read
+        with the lighter factor on the right (the algebra is commutative)."""
+        if sum(N) > sum(M):
+            M, N = N, M
+        return classical._product_row(M, N)
+
     def subtable(self, R) -> Dict:
         """{(M, N): G^R_MN} over every split |M| + |N| = |R| whose Hall
         polynomial is nonzero."""
-        n = sum(R)
-        table = {}
+        return self._subtables(sum(R))[R]
+
+    @_memoized
+    def _subtables(self, n: int) -> Dict:
+        """{R: subtable(R)} for every R of weight n: the product rows of
+        weight n, transposed."""
+        tables = {R: {} for R in self._classes(n)}
         for m in range(n + 1):
             for M in all_partitions(m):
                 for N in all_partitions(n - m):
-                    g = classical._hall_poly(R, M, N)
-                    if not g.is_zero():
-                        table[M, N] = g
-        return table
+                    for R, g in self.row(M, N).items():
+                        tables[R][M, N] = g
+        return tables
 
     def aut(self, label):
         return aut_poly(label)
@@ -252,15 +267,39 @@ class QuiverAtQ:
         """The class representative enumerate_iso_classes returned."""
         return self._class(label)[1]
 
-    @_memoized
+    def row(self, M, N) -> Dict:
+        """{R: G^R_MN} over the nonzero terms, from the subtables of
+        dim M + dim N."""
+        return self._rows(_add_offsets(self.dim_of(M), self.dim_of(N))).get((M, N), {})
+
     def subtable(self, R) -> Dict:
         """{(M, N): G^R_MN} for every nonzero entry, from R's submodule type
         table (keyed by quotient type, then sub type)."""
-        table = quiverrep.submodule_type_table(self.rep(R), budget=self.budget)
-        return {key: _qrt(self.q, cnt, 0, 1) for key, cnt in table.items()}
+        return self._subtables(self.dim_of(R))[R]
 
     def hall(self, R, M, N):
         return self.subtable(R).get((M, N), self._zero)
+
+    @_memoized
+    def _subtables(self, gamma: Tuple[int, ...]) -> Dict:
+        """{R: subtable(R)} for every class R of dimension gamma, from one
+        submodule_type_tables pass over their representatives."""
+        labels = self.classes_of_dim(gamma)
+        tables = quiverrep.submodule_type_tables([self.rep(R) for R in labels], budget=self.budget)
+        return {
+            R: {key: _qrt(self.q, cnt, 0, 1) for key, cnt in table.items()}
+            for R, table in zip(labels, tables)
+        }
+
+    @_memoized
+    def _rows(self, gamma: Tuple[int, ...]) -> Dict:
+        """{(M, N): row(M, N)} for every nonzero row of dimension gamma: the
+        subtables of gamma, transposed."""
+        rows: Dict = {}
+        for R, table in self._subtables(gamma).items():
+            for key, g in table.items():
+                rows.setdefault(key, {})[R] = g
+        return rows
 
     def aut(self, label):
         return _qrt(self.q, self._class(label)[2], 0, 1)
@@ -467,24 +506,12 @@ def _neg_offset(a: Tuple[int, ...]) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@_memoized
-def _hall_row(b, M, N) -> Dict:
-    """All R with G^R_MN != 0, as {R: G}."""
-    dR = _add_offsets(b.dim_of(M), b.dim_of(N))
-    row = {}
-    for R in b.classes_of_dim(dR):
-        g = b.hall(R, M, N)
-        if not g.is_zero():
-            row[R] = g
-    return row
-
-
 def _basis_product(b, M, alpha, N, beta) -> Tuple[int, Tuple[int, ...], Dict]:
     """[M]k_alpha [N]k_beta = v^e sum_R G^R_MN [R]k_{alpha+beta}, as
     (e, alpha + beta, {R: G}), with e = (alpha, N)_sym + <M, N>."""
     dN = b.dim_of(N)
     e = b.euler_a(b.dim_of(M), dN) + b.sym_a(alpha, dN)
-    return e, _add_offsets(alpha, beta), _hall_row(b, M, N)
+    return e, _add_offsets(alpha, beta), b.row(M, N)
 
 
 def multiply(b, x: HallElement, y: HallElement) -> HallElement:
@@ -609,10 +636,14 @@ def pairing(b, x: HallElement, y: HallElement):
 
 def pairing_tensor(b, t1: TensorElement, t2: TensorElement):
     """Pairing of tensors, componentwise: (x (x) y, z (x) w) = (x,z)(y,w).
-    Only terms with equal labels on both legs pair to nonzero, so each term
-    of t1 visits just the t2 terms with its (left label, right label)."""
+    Only terms with equal labels on both legs pair to nonzero, so the
+    smaller tensor is bucketed by (left label, right label) and each term
+    of the larger one visits just its bucket. The pairing is symmetric, so
+    which of t1 and t2 is bucketed does not change the value."""
     _check_same_backend(b, t1.backend)
     _check_same_backend(b, t2.backend)
+    if len(t2.terms) > len(t1.terms):
+        t1, t2 = t2, t1
     by_labels: Dict[Tuple, List] = {}
     for (lk2, rk2), c2 in t2.terms.items():
         by_labels.setdefault((lk2[0], rk2[0]), []).append((lk2, rk2, c2))

@@ -11,10 +11,14 @@ narrowest dtype that does (_int_dtype); the orbit enumeration works on
 fixed-size sub-chunks, so its memory is what it keeps (uint8 digits, int32
 permutations), not its temporaries. The submodule kernel, int16 at every
 q the suites use, switches to Python-int arrays where int64 would not
-hold its products, and classifies each distinct sub and quotient of a
-chunk once. numpy is imported on the first call into one of these kernels
-(the module global `np` starts as a stand-in), so importing this module,
-and every classical path, never loads it.
+hold its products. One pass of it (submodule_type_tables) builds the
+tables of every rep of one quiver, q and dimension vector, so numpy's
+fixed cost per call is paid once per dimension vector rather than once
+per rep, and classifies each distinct sub and quotient of the pass
+once; submodule_type_table is the pass of one. numpy is imported on the
+first call into one of these kernels (the module global `np` starts as a
+stand-in), so importing this module, and every classical path, never
+loads it.
 
 A generic representation is classified by looking its base-q point code
 up among the enumerated points of its dimension vector, each tagged with
@@ -26,10 +30,11 @@ the closed form of |Aut M|, which aut_count's exhaustive scan checks in
 the tests. That scan is independent of the closed forms; it tests one
 endomorphism per F_q^x line, since a nonzero multiple of an automorphism
 is one, and its budget still counts all q^dim End M points.
-aut_count, enumerate_iso_classes, classify_rep and submodule_type_table
-keep their results through one helper, _cached, which checks the budget
-on every call against the count the cold call needed. A table also keeps
-the classify_rep needs its cold build met, and checks them on every call.
+aut_count, enumerate_iso_classes and classify_rep keep their results
+through one helper, _cached, which checks the budget on every call
+against the count the cold call needed. submodule_type_tables keeps each
+table in the same store, with the subspace tuples and the classify_rep
+needs its cold build met, and checks both on every call.
 """
 
 from __future__ import annotations
@@ -1385,65 +1390,85 @@ def submodule_type_table(
     R: QuiverRep, budget: Optional[int] = None
 ) -> Dict[Tuple[object, object], int]:
     """Counts of stable subspaces of R bucketed by (quotient label, sub
-    label); one enumeration serves every (M, N) query against this R.
+    label); one enumeration serves every (M, N) query against this R. It is
+    submodule_type_tables([R]), a kernel pass of one."""
+    return submodule_type_tables([R], budget=budget)[0]
+
+
+def submodule_type_tables(
+    reps: Sequence[QuiverRep], budget: Optional[int] = None
+) -> List[Dict[Tuple[object, object], int]]:
+    """submodule_type_table of each of reps, in order; the reps share one
+    quiver, q and dimension vector. The tables not yet kept are built in one
+    kernel pass, and each is kept and checked as its lone build would be.
 
     Each subspace U_v of vertex v is held as its matrix E_v
     (_vertex_subspaces). For an arrow X : s -> t the rows of I = E_s X^T
     are the images of U_s's basis, and I E_t rebuilds them from their
     coordinates at U_t's pivots, so X U_s lies in U_t iff I E_t = I mod p:
-    a table over all (U_s, U_t), or its diagonal for a loop. The subspace
-    tuples run in itertools.product order; for those stable under every
-    arrow, the sub matrix is I read at (U_s pivots, U_t pivots) and the
-    quotient matrix X^T (1 - E_t), X's columns reduced against U_t, read at
-    (U_s non-pivots, U_t non-pivots), both transposed. The subspace
-    matrices, images and reductions are all in _submodule_dtype(dims, q),
-    the narrowest dtype holding max(d) (q-1)^2: int16 up to q = 127 at
-    d = 2 and q = 61 at d = 9.
+    a table over all (rep, U_s, U_t), or (rep, U_s) for a loop. The (rep,
+    subspace tuple) pairs run rep-major, each rep's tuples in
+    itertools.product order; for those stable under every arrow, the sub
+    matrix is I read at (U_s pivots, U_t pivots) and the quotient matrix
+    X^T (1 - E_t), X's columns reduced against U_t, read at (U_s
+    non-pivots, U_t non-pivots), both transposed. The subspace matrices,
+    images and reductions are all in _submodule_dtype(dims, q), the
+    narrowest dtype holding max(d) (q-1)^2: int16 up to q = 127 at d = 2
+    and q = 61 at d = 9. The reps go through a group at a time, a group
+    holding one rep's stability tables and tuples or at most a chunk of
+    each, so a pass holds no more than its largest lone table would.
 
-    Each chunk of stable tuples writes its subs and quotients as byte keys
+    Each chunk of stable pairs writes its subs and quotients as byte keys
     (uint8 entries while q <= 256), and classify_rep runs once per distinct
-    key, in the order the tuples meet them, quotient before sub; so the
-    budget, the first BudgetError and the table's key order are those of
-    classifying every tuple in turn."""
+    key of the pass, in the order the pairs meet them, quotient before sub.
+    Each rep's table keeps its keys, and its record of the classify_rep
+    needs, in the order its own tuples meet them; so its budget, its first
+    BudgetError and its key order are those of classifying each of its
+    tuples in turn. Every rep of one dimension vector scans as many tuples,
+    and meets the same needs (its first quotient, by the zero sub, is the
+    rep itself, whose need no sub or quotient exceeds), so a pass that one
+    of its reps would refuse refuses with that rep's BudgetError."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    needs, table = _cached(
-        "submodule_type_table", R, budget, R.dims, R.q, lambda b: _submodule_table(R, b), "subspace tuples"
-    )
-    # a warm table makes no classify_rep call, so check what the cold
-    # build's calls needed, in the order it met them: the first that
-    # exceeds the budget is the one a cold build would raise
-    for dims, points in needs:
-        _require_budget("classify_rep", points, budget, dims, R.q)
-    return table
+    if any((R.quiver, R.q, R.dims) != (reps[0].quiver, reps[0].q, reps[0].dims) for R in reps[1:]):
+        raise ValueError("submodule_type_tables needs reps of one quiver, q and dimension vector")
+    cold = [R for R in dict.fromkeys(reps) if ("submodule_type_table", R) not in _CACHE]
+    if cold:
+        for R, hit in zip(cold, _submodule_tables(cold, budget)):
+            _CACHE["submodule_type_table", R] = hit
+    tables = []
+    for R in reps:
+        tuples, (needs, table) = _CACHE["submodule_type_table", R]
+        _require_budget("submodule_type_table", tuples, budget, R.dims, R.q, "subspace tuples")
+        # a warm table makes no classify_rep call, so check what the cold
+        # build's calls needed, in the order it met them: the first that
+        # exceeds the budget is the one a cold build would raise
+        for dims, points in needs:
+            _require_budget("classify_rep", points, budget, dims, R.q)
+        tables.append(table)
+    return tables
 
 
-def _submodule_table(R: QuiverRep, budget: int):
-    """(subspace tuples scanned, (the classify_rep needs that rose above
-    every earlier one, as (dims, points) in the order met,
-    submodule_type_table(R)))."""
-    p = R.q
+def _submodule_tables(reps: List[QuiverRep], budget: int):
+    """One kernel pass: for each rep, (subspace tuples scanned, (the
+    classify_rep needs that rose above every earlier one of that rep, as
+    (dims, points) in the order its tuples met them, its
+    submodule_type_table))."""
+    Q, p, dims = reps[0].quiver, reps[0].q, reps[0].dims
     total_tuples = 1
-    for d in R.dims:
+    for d in dims:
         total_tuples *= sum(subspace_count(d, k, p) for k in range(d + 1))
-    _require_budget("submodule_type_table", total_tuples, budget, R.dims, p, "subspace tuples")
-    Q, dims = R.quiver, R.dims
+    _require_budget("submodule_type_table", total_tuples, budget, dims, p, "subspace tuples")
     eff = Q.effective_arrows()
     dtype = _submodule_dtype(dims, p)
     # every array below has at most `step` rows of at most max(d)^2 entries
     step = max(1, _CHUNK // max(1, max(dims)) ** 2)
     by_dim = {d: _vertex_subspaces(d, p, dtype) for d in set(dims)}
     subs, orders, kdims = zip(*(by_dim[d] for d in dims))
-    xts = [np.array(x, dtype=dtype).reshape(dims[t], dims[s]).T for (s, t), x in zip(eff, R.mats)]
-    tables = []
-    for (s, t), xt in zip(eff, xts):
-        shape = (len(subs[s]),) if s == t else (len(subs[s]), len(subs[t]))
-        ok = np.empty(math.prod(shape), dtype=bool)
-        for start in range(0, len(ok), step):
-            pairs = np.arange(start, min(start + step, len(ok)))
-            i_s, i_t = (pairs, pairs) if s == t else np.unravel_index(pairs, shape)
-            img = (subs[s][i_s] @ xt) % p
-            ok[pairs] = ((img @ subs[t][i_t]) % p == img).all(axis=(1, 2))
-        tables.append(ok.reshape(shape))
+    sizes = [len(e) for e in subs]
+    # a group of reps holds one rep's stability tables and tuples, or at
+    # most `step` of each
+    per_rep = sum(sizes[s] if s == t else sizes[s] * sizes[t] for s, t in eff)
+    group = max(1, step // max(per_rep, total_tuples))
     # a key row: a tag (0 quotient, 1 sub), the sub's dimension vector k,
     # then each arrow's pivot-first block with the entries outside the
     # quotient's (sub's) corner zeroed, so equal rows are equal reps
@@ -1453,63 +1478,100 @@ def _submodule_table(R: QuiverRep, budget: int):
     )
     width = 1 + len(dims) + sum(dims[s] * dims[t] for s, t in eff)
     void = np.dtype((np.void, width * np.dtype(key_dtype).itemsize))
+    # byte key -> its label, and -> (its dims, the points its cold
+    # classify_rep needed)
     labels: Dict[bytes, object] = {}
-    needs: List[Tuple[Tuple[int, ...], int]] = []
-    table: Dict[Tuple[object, object], int] = {}
-    for start in range(0, total_tuples, step):
-        idx = np.unravel_index(
-            np.arange(start, min(start + step, total_tuples)), [len(e) for e in subs]
-        )
-        ok = np.ones(len(idx[0]), dtype=bool)
-        for (s, t), stable in zip(eff, tables):
-            ok &= stable[idx[s]] if s == t else stable[idx[s], idx[t]]
-        if not ok.any():
-            continue
-        idx = [i[ok] for i in idx]
-        n = len(idx[0])
-        ks = np.stack([k[i] for k, i in zip(kdims, idx)], axis=1)
-        # rows 2r and 2r+1 of keys are the r-th stable tuple's quotient and sub
-        keys = np.empty((n, 2, width), dtype=key_dtype)
-        keys[:, :, 0] = (0, 1)
-        keys[:, :, 1 : 1 + len(dims)] = ks[:, None, :]
-        off = 1 + len(dims)
+    need_of: Dict[bytes, Tuple[Tuple[int, ...], int]] = {}
+    needs: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in reps]
+    tops = [0] * len(reps)
+    tables: List[Dict[Tuple[object, object], int]] = [{} for _ in reps]
+    for first in range(0, len(reps), group):
+        batch = reps[first : first + group]
+        # `span` (U_s, U_t) pairs or tuples of every rep of the group make
+        # at most `step` rows: all of each rep's, or `step` of one rep's
+        span = max(1, step // len(batch))
+        # each arrow's X^T for every rep of the group, (g, d_s, d_t)
+        xts = [
+            np.array([R.mats[a] for R in batch], dtype=dtype)
+            .reshape(len(batch), dims[t], dims[s]).transpose(0, 2, 1)
+            for a, (s, t) in enumerate(eff)
+        ]
+        stable = []
         for (s, t), xt in zip(eff, xts):
-            e_s, e_t = subs[s][idx[s]], subs[t][idx[t]]
-            img = (e_s @ xt) % p
-            red = (xt - (xt @ e_t) % p) % p
-            # rows at U_s's pivots (E_s's diagonal 1s) from I, the others
-            # from X^T (1 - E_t); with rows and columns put pivot-first and
-            # transposed, the sub matrix is the top left k_t x k_s corner and
-            # the quotient matrix the bottom right one
-            both = np.where(np.diagonal(e_s, axis1=1, axis2=2)[:, :, None] == 1, img, red)
-            rows, cols = orders[s][idx[s]][:, :, None], orders[t][idx[t]][:, None, :]
-            both = both[np.arange(n)[:, None, None], rows, cols].transpose(0, 2, 1)
-            size = dims[s] * dims[t]
-            corners = _corner_masks(dims[s], dims[t])[ks[:, s], ks[:, t]]
-            keys[:, :, off : off + size] = (both[:, None] * corners).reshape(n, 2, size)
-            off += size
-        flat = keys.reshape(2 * n, width)
-        # classify each distinct key once, in the order the tuples meet them
-        # (quotient before sub), so the first BudgetError is the per-tuple one
-        row_keys = flat.view(void).ravel().tolist()
-        for i, row_key in enumerate(row_keys):
-            if row_key not in labels:
-                M = _key_rep(Q, p, dims, flat[i])
-                labels[row_key] = classify_rep(M, budget=budget)
-                # the points classify_rep's cold call needed; one no larger
-                # than an earlier need is never the first to exceed a budget
-                need = _CACHE["classify_rep", M][0]
-                if need > (needs[-1][1] if needs else 0):
-                    needs.append((M.dims, need))
-        for (quo, sub), count in Counter(zip(row_keys[::2], row_keys[1::2])).items():
-            pair = (labels[quo], labels[sub])
-            table[pair] = table.get(pair, 0) + count
-    return total_tuples, (tuple(needs), table)
+            shape = (sizes[s],) if s == t else (sizes[s], sizes[t])
+            ok = np.empty((len(batch), math.prod(shape)), dtype=bool)
+            for start in range(0, ok.shape[1], span):
+                pairs = np.arange(start, min(start + span, ok.shape[1]))
+                i_s, i_t = (pairs, pairs) if s == t else np.unravel_index(pairs, shape)
+                img = (subs[s][i_s] @ xt[:, None]) % p
+                ok[:, pairs] = ((img @ subs[t][i_t]) % p == img).all(axis=(2, 3))
+            stable.append(ok.reshape(len(batch), *shape))
+        for start in range(0, total_tuples, span):
+            idx = np.unravel_index(np.arange(start, min(start + span, total_tuples)), sizes)
+            ok = np.ones((len(batch), len(idx[0])), dtype=bool)
+            for (s, t), stab in zip(eff, stable):
+                ok &= stab[:, idx[s]] if s == t else stab[:, idx[s], idx[t]]
+            # the stable (rep, tuple) pairs, rep-major
+            r, at = np.nonzero(ok)
+            if not len(r):
+                continue
+            idx = [i[at] for i in idx]
+            n = len(r)
+            ks = np.stack([k[i] for k, i in zip(kdims, idx)], axis=1)
+            # rows 2j and 2j+1 of keys are the j-th stable pair's quotient and sub
+            keys = np.empty((n, 2, width), dtype=key_dtype)
+            keys[:, :, 0] = (0, 1)
+            keys[:, :, 1 : 1 + len(dims)] = ks[:, None, :]
+            off = 1 + len(dims)
+            for (s, t), xt in zip(eff, xts):
+                # one rep's X^T broadcasts; a group's is read per row
+                xt = xt[r] if len(batch) > 1 else xt
+                e_s, e_t = subs[s][idx[s]], subs[t][idx[t]]
+                img = (e_s @ xt) % p
+                red = (xt - (xt @ e_t) % p) % p
+                # rows at U_s's pivots (E_s's diagonal 1s) from I, the others
+                # from X^T (1 - E_t); with rows and columns put pivot-first and
+                # transposed, the sub matrix is the top left k_t x k_s corner and
+                # the quotient matrix the bottom right one
+                both = np.where(np.diagonal(e_s, axis1=1, axis2=2)[:, :, None] == 1, img, red)
+                rows, cols = orders[s][idx[s]][:, :, None], orders[t][idx[t]][:, None, :]
+                both = both[np.arange(n)[:, None, None], rows, cols].transpose(0, 2, 1)
+                size = dims[s] * dims[t]
+                corners = _corner_masks(dims[s], dims[t])[ks[:, s], ks[:, t]]
+                keys[:, :, off : off + size] = (both[:, None] * corners).reshape(n, 2, size)
+                off += size
+            flat = keys.reshape(2 * n, width)
+            row_keys = flat.view(void).ravel().tolist()
+            # classify each key new to the pass where the pairs first meet
+            # it (quotient before sub), so the first BudgetError is the
+            # per-tuple one; a rep records a need only where it rises above
+            # every earlier need of that rep, for one no larger is never the
+            # first to exceed a budget. A rep's rows are [2 lo, 2 hi).
+            bounds = np.searchsorted(r, np.arange(len(batch) + 1)).tolist()
+            for j, lo, hi in zip(range(first, first + len(batch)), bounds, bounds[1:]):
+                rep_keys = row_keys[2 * lo : 2 * hi]
+                i = 2 * lo
+                for row_key in dict.fromkeys(rep_keys):
+                    need = need_of.get(row_key)
+                    if need is None:
+                        # keys come in the order first met, so i only grows
+                        i = row_keys.index(row_key, i)
+                        M = _key_rep(Q, p, dims, flat[i])
+                        labels[row_key] = classify_rep(M, budget=budget)
+                        need = need_of[row_key] = (M.dims, _CACHE["classify_rep", M][0])
+                    if need[1] > tops[j]:
+                        tops[j] = need[1]
+                        needs[j].append(need)
+                table = tables[j]
+                for (quo, sub), count in Counter(zip(rep_keys[::2], rep_keys[1::2])).items():
+                    pair = (labels[quo], labels[sub])
+                    table[pair] = table.get(pair, 0) + count
+    return [(total_tuples, (tuple(need), table)) for need, table in zip(needs, tables)]
 
 
 def _key_rep(Q: Quiver, p: int, dims: Tuple[int, ...], key: np.ndarray) -> QuiverRep:
     """The sub (tag 1) or quotient (tag 0) of R that a key row of
-    _submodule_table stands for: its corner of each arrow's block."""
+    _submodule_tables stands for: its corner of each arrow's block."""
     vals = key.tolist()
     is_sub, ks = vals[0], vals[1 : 1 + len(dims)]
     rdims = ks if is_sub else [d - k for d, k in zip(dims, ks)]

@@ -216,12 +216,13 @@ def suite_steinitz(deg=None, budget=None) -> List[Dict]:
     triangularity of the elementary products, on the classical backend.
 
     The first two cannot see a wrong Hall polynomial P^nu_{mu,la} with
-    |mu| != |la|: classical._hall_poly reads the product row whose right
-    factor is the lighter one, so multiply(x, y) and multiply(y, x) read
-    one row, and the cocommutativity check reads that same row through
-    both subtables. The independent oracle for those entries is
-    _hall_poly_ref in tests/test_classical.py, which expands the right
-    factor whatever its weight.
+    |mu| != |la|: the backend's row(mu, la) is classical._product_row with
+    the lighter factor on the right, so multiply(x, y) and multiply(y, x)
+    read one row, and the cocommutativity check reads that same row through
+    both subtables, which are the product rows transposed. The independent
+    oracle for those entries is _hall_poly_ref in tests/test_classical.py,
+    which expands the right factor whatever its weight; the same file
+    checks every row and subtable up to weight 6 against it.
     """
     bound = deg if deg is not None else 6
     checks = []

@@ -25,6 +25,7 @@ from hallalg.classical import (
 )
 from hallalg.engine import (
     CLASSICAL as B,
+    ClassicalGeneric,
     HallElement,
     TensorElement,
     antipode,
@@ -134,6 +135,30 @@ def test_hall_poly_symmetry_small():
                         p = _hall_poly_ref(nu, mu, la)
                         assert p == _hall_poly_ref(nu, la, mu)
                         assert hall_poly(nu, mu, la) == p == hall_poly(nu, la, mu)
+
+
+def test_engine_rows_and_subtables_match_the_right_factor_expansion():
+    # the engine's row(M, N) is _product_row with the lighter factor on the
+    # right, so both orders of an unequal-weight product read one row;
+    # _hall_poly_ref expands N whatever its weight, so one of the two orders
+    # checks each such row against the heavier factor's expansion. Every
+    # subtable is those rows transposed.
+    b = ClassicalGeneric()
+    parts = [la for n in range(7) for la in all_partitions(n)]
+    rows = {}
+    for M in parts:
+        for N in parts:
+            n = weight(M) + weight(N)
+            if n > 6:
+                continue
+            want = {nu: _hall_poly_ref(nu, M, N) for nu in all_partitions(n)}
+            rows[M, N] = {nu: p for nu, p in want.items() if not p.is_zero()}
+            assert b.row(M, N) == rows[M, N], (M, N)
+    assert len(rows) == 139
+    for n in range(7):
+        for R in all_partitions(n):
+            want = {key: row[R] for key, row in rows.items() if R in row}
+            assert b.subtable(R) == want, R
 
 
 def test_hall_table_expands_only_the_lighter_factor(monkeypatch):

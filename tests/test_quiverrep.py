@@ -53,6 +53,7 @@ from hallalg.quiverrep import (
     simple_rep,
     subspace_count,
     submodule_type_table,
+    submodule_type_tables,
     sym_form_add,
     zero_rep,
 )
@@ -702,6 +703,69 @@ def test_submodule_table_first_budget_error(monkeypatch):
     with pytest.raises(BudgetError) as warm:
         submodule_type_table(R, budget=100)
     assert str(warm.value) == message
+
+
+def _pass_cases():
+    """(name, the class representatives of one dimension vector) for the
+    quiver dimension vectors of _submodule_cases."""
+    cases = [("kronecker(2, 3),q=2", [rep for _, rep, _ in enumerate_iso_classes(Quiver.kronecker(), 2, (2, 3))])]
+    for Q, name, q in ((Quiver.a2(), "a2", 3), (Quiver.cyclic(3), "cyclic3", 2)):
+        for total in range(5):
+            for d in _dim_vectors(Q.n, total):
+                cases.append((f"{name}{d},q={q}", [rep for _, rep, _ in enumerate_iso_classes(Q, q, d)]))
+    return cases
+
+
+def test_submodule_tables_pass_keeps_each_lone_table(monkeypatch):
+    # one pass over a dimension vector's reps keeps, for each rep, what its
+    # lone build keeps (tuple count, classify_rep needs, entries in order),
+    # and classifies each distinct sub and quotient of the pass once
+    classify = quiverrep.classify_rep
+    calls = []
+
+    def counted(M, budget=None):
+        calls.append(M)
+        return classify(M, budget)
+
+    for name, reps in _pass_cases():
+        monkeypatch.setattr(quiverrep, "_CACHE", {})
+        lone = [submodule_type_table(R, budget=3 ** 16) for R in reps]
+        kept = [quiverrep._CACHE["submodule_type_table", R] for R in reps]
+        for R, table in zip(reps, lone):
+            assert list(table.items()) == list(_submodule_table_brute(R).items()), name
+        monkeypatch.setattr(quiverrep, "_CACHE", {})
+        monkeypatch.setattr(quiverrep, "classify_rep", counted)
+        calls.clear()
+        tables = submodule_type_tables(reps, budget=3 ** 16)
+        monkeypatch.setattr(quiverrep, "classify_rep", classify)
+        assert [list(t.items()) for t in tables] == [list(t.items()) for t in lone], name
+        assert [quiverrep._CACHE["submodule_type_table", R] for R in reps] == kept, name
+        splits = [split for R in reps for split in _stable_splits(R)]
+        assert len(calls) == len({sub for sub, _ in splits}) + len({quo for _, quo in splits}), name
+
+
+def test_submodule_tables_pass_first_budget_error(monkeypatch):
+    # a pass over Kronecker (2, 3), class #5 included, refuses as that
+    # class's lone table does (test_submodule_table_first_budget_error),
+    # cold, with every sub and quotient dimension enumerated, and warm
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    reps = [rep for _, rep, _ in enumerate_iso_classes(Quiver.kronecker(), 2, (2, 3))]
+    message = "classify_rep at dimension vector (2, 3), q=2 needs 4096 points, budget is 100"
+    with pytest.raises(BudgetError) as cold:
+        submodule_type_tables(reps, budget=100)
+    assert str(cold.value) == message
+    for d in _dim_vectors(2, 5):
+        if d[0] <= 2 and d[1] <= 3:
+            enumerate_iso_classes(Quiver.kronecker(), 2, d)
+    with pytest.raises(BudgetError) as warm:
+        submodule_type_tables(reps, budget=100)
+    assert str(warm.value) == message
+    assert len(submodule_type_tables(reps)[5]) == 18
+    with pytest.raises(BudgetError) as warm:
+        submodule_type_tables(reps, budget=100)
+    assert str(warm.value) == message
+    with pytest.raises(ValueError, match="one quiver, q and dimension vector"):
+        submodule_type_tables([reps[0], jordan_rep((1,), 2)])
 
 
 def test_submodule_table_past_int64():
