@@ -1483,7 +1483,6 @@ def _submodule_tables(reps: List[QuiverRep], budget: int):
     labels: Dict[bytes, object] = {}
     need_of: Dict[bytes, Tuple[Tuple[int, ...], int]] = {}
     needs: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in reps]
-    tops = [0] * len(reps)
     tables: List[Dict[Tuple[object, object], int]] = [{} for _ in reps]
     for first in range(0, len(reps), group):
         batch = reps[first : first + group]
@@ -1559,8 +1558,7 @@ def _submodule_tables(reps: List[QuiverRep], budget: int):
                         M = _key_rep(Q, p, dims, flat[i])
                         labels[row_key] = classify_rep(M, budget=budget)
                         need = need_of[row_key] = (M.dims, _CACHE["classify_rep", M][0])
-                    if need[1] > tops[j]:
-                        tops[j] = need[1]
+                    if need[1] > (needs[j][-1][1] if needs[j] else 0):
                         needs[j].append(need)
                 table = tables[j]
                 for (quo, sub), count in Counter(zip(rep_keys[::2], rep_keys[1::2])).items():
