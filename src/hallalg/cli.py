@@ -3,7 +3,8 @@
 Subcommands: hallpoly, mult, comult, antipode, verify. Output is byte
 deterministic for identical inputs; --out writes the payload to a file and
 keeps stdout quiet. Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 resource budget exceeded.
+error, 3 resource budget exceeded, 4 internal invariant failed
+(ConsistencyError).
 """
 
 import argparse

@@ -33,8 +33,9 @@ is one, and its budget still counts all q^dim End M points.
 aut_count, enumerate_iso_classes and classify_rep keep their results
 through one helper, _cached, which checks the budget on every call
 against the count the cold call needed. submodule_type_tables keeps each
-table in the same store, with the subspace tuples and the classify_rep
-needs its cold build met, and checks both on every call.
+table in the same store, with the subspace tuples its cold build scanned,
+and checks on every call those tuples, then the classify_rep need of the
+table's rep, the largest of any sub or quotient it classified.
 """
 
 from __future__ import annotations
@@ -1202,10 +1203,11 @@ def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], f
     """enumerate_iso_classes's cached value: (classes, point codes, class
     index of each point), as _orbit_seeds gives them; codes is None when
     every tuple is a point, and both are None on the closed-form branch."""
+    closed = Q.is_single_cycle() and Q.nilpotent and not force_generic
 
     def enumerate_(budget: int):
         out: List[IsoClass] = []
-        if Q.is_single_cycle() and Q.nilpotent and not force_generic:
+        if closed:
             # M is a sum of uniserial chains, m_I copies of the chain I (one
             # start vertex and length) each; End M modulo its radical is the
             # product of the matrix rings M_{m_I}(F_q)
@@ -1233,7 +1235,9 @@ def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], f
             out.append(((d, seed), QuiverRep(Q, q, d, seed), size))
         return needed, (out, codes, owner)
 
-    return _cached("enumerate_iso_classes", (Q, q, d, force_generic), budget, d, q, enumerate_)
+    # keyed on the branch taken: where no closed form applies, force_generic
+    # runs the same enumeration as a plain call
+    return _cached("enumerate_iso_classes", (Q, q, d, closed), budget, d, q, enumerate_)
 
 
 def _invert_mat(m: Mat, p: int) -> Mat:
@@ -1311,29 +1315,6 @@ def _column_dtype(d: int, p: int):
     return _int_dtype("submodule_type_table", d, "subspace columns", (d,), p)
 
 
-def _subspace_arrays(d: int, k: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
-    """Every k-dimensional subspace of F_p^d as its RREF row basis:
-    (bases (S, k, d) in `dtype`, columns (S, d): the k pivot columns, then
-    the others, in the narrowest integer dtype holding d), S = [d choose
-    k]_p, each filled in place. Pivot patterns run in lexicographic order;
-    within one, the free entries (row-major) count up in base p, the first
-    one most significant."""
-    bases = np.zeros((subspace_count(d, k, p), k, d), dtype=dtype)
-    orders = np.empty((len(bases), d), dtype=_column_dtype(d, p))
-    start = 0
-    for piv in itertools.combinations(range(d), k):
-        free = [(i, j) for i in range(k) for j in range(piv[i] + 1, d) if j not in piv]
-        stop = start + p ** len(free)
-        block = bases[start:stop]
-        block[:, range(k), piv] = 1
-        if free:
-            rows, cols = zip(*free)
-            block[:, rows, cols] = _coeff_digit_block(0, stop - start, len(free), p, dtype)
-        orders[start:stop] = piv + tuple(j for j in range(d) if j not in piv)
-        start = stop
-    return bases, orders
-
-
 @functools.lru_cache(maxsize=16)
 def _vertex_subspaces(d: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All subspaces of F_p^d, dimension 0 to d in turn: (E (S, d, d) in
@@ -1341,22 +1322,29 @@ def _vertex_subspaces(d: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray, np
     i-th pivot, and whose other rows are zero, so that v - vE reduces v
     against the subspace; the columns in pivot-first order (S, d); the
     dimensions (S,)), the last two in the narrowest integer dtype holding
-    d. The arrays are allocated once at full size and filled one k at a
-    time, so the build holds one k's bases beside them and no second copy.
-    Every table of the same (d, p, dtype) reads them, so the last few are
-    kept, read-only."""
-    counts = [subspace_count(d, k, p) for k in range(d + 1)]
-    mats = np.zeros((sum(counts), d, d), dtype=dtype)
+    d. Within one dimension the pivot patterns run in lexicographic order;
+    within one pattern the free entries (row-major over pivot row and
+    column) count up in base p, the first one most significant. Each
+    pattern's unit pivots and free digits are written straight into E, so
+    the build holds one pattern's digits beside the arrays. Every table of
+    the same (d, p, dtype) reads them, so the last few are kept,
+    read-only."""
+    mats = np.zeros((sum(subspace_count(d, k, p) for k in range(d + 1)), d, d), dtype=dtype)
     orders = np.empty((len(mats), d), dtype=_column_dtype(d, p))
     kdims = np.empty(len(mats), dtype=orders.dtype)
     start = 0
-    for k, count in enumerate(counts):
-        basis, order = _subspace_arrays(d, k, p, dtype)
-        stop = start + count
-        mats[np.arange(start, stop)[:, None], order[:, :k]] = basis
-        orders[start:stop] = order
-        kdims[start:stop] = k
-        start = stop
+    for k in range(d + 1):
+        for piv in itertools.combinations(range(d), k):
+            free = [(c, j) for c in piv for j in range(c + 1, d) if j not in piv]
+            stop = start + p ** len(free)
+            block = mats[start:stop]
+            block[:, piv, piv] = 1
+            if free:
+                rows, cols = zip(*free)
+                block[:, rows, cols] = _coeff_digit_block(0, stop - start, len(free), p, dtype)
+            orders[start:stop] = piv + tuple(j for j in range(d) if j not in piv)
+            kdims[start:stop] = k
+            start = stop
     out = mats, orders, kdims
     for a in out:
         a.setflags(write=False)
@@ -1420,14 +1408,15 @@ def submodule_type_tables(
 
     Each chunk of stable pairs writes its subs and quotients as byte keys
     (uint8 entries while q <= 256), and classify_rep runs once per distinct
-    key of the pass, in the order the pairs meet them, quotient before sub.
-    Each rep's table keeps its keys, and its record of the classify_rep
-    needs, in the order its own tuples meet them; so its budget, its first
-    BudgetError and its key order are those of classifying each of its
-    tuples in turn. Every rep of one dimension vector scans as many tuples,
-    and meets the same needs (its first quotient, by the zero sub, is the
-    rep itself, whose need no sub or quotient exceeds), so a pass that one
-    of its reps would refuse refuses with that rep's BudgetError."""
+    key of the pass, in the order the pairs meet them, quotient before sub;
+    one tally per chunk then counts each (rep, quotient, sub), so each
+    rep's table keeps its keys in the order its own tuples meet them. A
+    rep's first stable tuple is the zero sub, whose quotient is the rep
+    itself, and no sub or quotient needs more points to classify than it
+    does; so a table's budget is its tuple count, then its rep's own
+    classify_rep need, the order a cold build meets them, and a pass that
+    one of its reps would refuse refuses with that rep's BudgetError. A
+    kept table is checked against both, and makes no classify_rep call."""
     budget = DEFAULT_BUDGET if budget is None else budget
     if any((R.quiver, R.q, R.dims) != (reps[0].quiver, reps[0].q, reps[0].dims) for R in reps[1:]):
         raise ValueError("submodule_type_tables needs reps of one quiver, q and dimension vector")
@@ -1437,22 +1426,16 @@ def submodule_type_tables(
             _CACHE["submodule_type_table", R] = hit
     tables = []
     for R in reps:
-        tuples, (needs, table) = _CACHE["submodule_type_table", R]
+        tuples, table = _CACHE["submodule_type_table", R]
         _require_budget("submodule_type_table", tuples, budget, R.dims, R.q, "subspace tuples")
-        # a warm table makes no classify_rep call, so check what the cold
-        # build's calls needed, in the order it met them: the first that
-        # exceeds the budget is the one a cold build would raise
-        for dims, points in needs:
-            _require_budget("classify_rep", points, budget, dims, R.q)
+        _require_budget("classify_rep", _CACHE["classify_rep", R][0], budget, R.dims, R.q)
         tables.append(table)
     return tables
 
 
 def _submodule_tables(reps: List[QuiverRep], budget: int):
-    """One kernel pass: for each rep, (subspace tuples scanned, (the
-    classify_rep needs that rose above every earlier one of that rep, as
-    (dims, points) in the order its tuples met them, its
-    submodule_type_table))."""
+    """One kernel pass: for each rep, (subspace tuples scanned, its
+    submodule_type_table)."""
     Q, p, dims = reps[0].quiver, reps[0].q, reps[0].dims
     total_tuples = 1
     for d in dims:
@@ -1478,11 +1461,7 @@ def _submodule_tables(reps: List[QuiverRep], budget: int):
     )
     width = 1 + len(dims) + sum(dims[s] * dims[t] for s, t in eff)
     void = np.dtype((np.void, width * np.dtype(key_dtype).itemsize))
-    # byte key -> its label, and -> (its dims, the points its cold
-    # classify_rep needed)
-    labels: Dict[bytes, object] = {}
-    need_of: Dict[bytes, Tuple[Tuple[int, ...], int]] = {}
-    needs: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in reps]
+    labels: Dict[bytes, object] = {}  # byte key -> its label
     tables: List[Dict[Tuple[object, object], int]] = [{} for _ in reps]
     for first in range(0, len(reps), group):
         batch = reps[first : first + group]
@@ -1543,28 +1522,18 @@ def _submodule_tables(reps: List[QuiverRep], budget: int):
             row_keys = flat.view(void).ravel().tolist()
             # classify each key new to the pass where the pairs first meet
             # it (quotient before sub), so the first BudgetError is the
-            # per-tuple one; a rep records a need only where it rises above
-            # every earlier need of that rep, for one no larger is never the
-            # first to exceed a budget. A rep's rows are [2 lo, 2 hi).
-            bounds = np.searchsorted(r, np.arange(len(batch) + 1)).tolist()
-            for j, lo, hi in zip(range(first, first + len(batch)), bounds, bounds[1:]):
-                rep_keys = row_keys[2 * lo : 2 * hi]
-                i = 2 * lo
-                for row_key in dict.fromkeys(rep_keys):
-                    need = need_of.get(row_key)
-                    if need is None:
-                        # keys come in the order first met, so i only grows
-                        i = row_keys.index(row_key, i)
-                        M = _key_rep(Q, p, dims, flat[i])
-                        labels[row_key] = classify_rep(M, budget=budget)
-                        need = need_of[row_key] = (M.dims, _CACHE["classify_rep", M][0])
-                    if need[1] > (needs[j][-1][1] if needs[j] else 0):
-                        needs[j].append(need)
-                table = tables[j]
-                for (quo, sub), count in Counter(zip(rep_keys[::2], rep_keys[1::2])).items():
-                    pair = (labels[quo], labels[sub])
-                    table[pair] = table.get(pair, 0) + count
-    return [(total_tuples, (tuple(need), table)) for need, table in zip(needs, tables)]
+            # per-tuple one
+            i = 0
+            for row_key in dict.fromkeys(row_keys):
+                if row_key not in labels:
+                    # keys come in the order first met, so i only grows
+                    i = row_keys.index(row_key, i)
+                    labels[row_key] = classify_rep(_key_rep(Q, p, dims, flat[i]), budget=budget)
+            for (j, quo, sub), count in Counter(zip(r.tolist(), row_keys[::2], row_keys[1::2])).items():
+                table = tables[first + j]
+                pair = (labels[quo], labels[sub])
+                table[pair] = table.get(pair, 0) + count
+    return [(total_tuples, table) for table in tables]
 
 
 def _key_rep(Q: Quiver, p: int, dims: Tuple[int, ...], key: np.ndarray) -> QuiverRep:

@@ -29,7 +29,6 @@ from hallalg.quiverrep import (
     _matmul,
     _mat_vec,
     _space_size,
-    _subspace_arrays,
     _submodule_dtype,
     _unvalidated_rep,
     aut_count,
@@ -259,11 +258,23 @@ def test_euler_form():
         euler_form_add(A2, (1,), (1, 0))
 
 
+def _subspace_slice(d, k, p):
+    """The k-dimensional subspaces of _vertex_subspaces(d, p, int64): (RREF
+    bases (S, k, d), read from E at each subspace's pivots; columns in
+    pivot-first order (S, d)). E's rows off the pivots must be zero."""
+    mats, orders, kdims = quiverrep._vertex_subspaces(d, p, np.int64)
+    at = kdims == k
+    order = orders[at]
+    rows = np.take_along_axis(mats[at], order[:, :, None].astype(np.intp), axis=1)
+    assert not rows[:, k:].any()
+    return rows[:, :k], order
+
+
 def test_subspace_enumeration_counts():
     for p in (2, 3):
         for d in range(5):
             for k in range(d + 1):
-                basis, order = _subspace_arrays(d, k, p, np.int64)
+                basis, order = _subspace_slice(d, k, p)
                 assert basis.shape == (int(gauss_binomial(d, k).evaluate(p)), k, d)
                 assert subspace_count(d, k, p) == len(basis)
                 assert len(np.unique(basis.reshape(len(basis), -1), axis=0)) == len(basis)
@@ -271,11 +282,11 @@ def test_subspace_enumeration_counts():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_subspace_arrays_match_reference(p):
-    # the numpy generator yields the reference RREF bases in order, with the
+    # the numpy store yields the reference RREF bases in order, with the
     # pivot columns first and then the others
     for d in range(6):
         for k in range(d + 1):
-            basis, order = _subspace_arrays(d, k, p, np.int64)
+            basis, order = _subspace_slice(d, k, p)
             got = [(tuple(map(tuple, b)), tuple(o)) for b, o in zip(basis.tolist(), order.tolist())]
             want = [
                 (rows, piv + tuple(j for j in range(d) if j not in piv))
@@ -766,6 +777,56 @@ def test_submodule_tables_pass_first_budget_error(monkeypatch):
     assert str(warm.value) == message
     with pytest.raises(ValueError, match="one quiver, q and dimension vector"):
         submodule_type_tables([reps[0], jordan_rep((1,), 2)])
+
+
+def test_submodule_table_rep_need_bounds_every_split(monkeypatch):
+    # a kept table checks its budget against its rep's own classify_rep
+    # need alone: a cold build classifies the rep first (the quotient by
+    # the zero sub), and no sub or quotient needs more points than it
+    classify = quiverrep.classify_rep
+    calls = []
+
+    def counted(M, budget=None):
+        calls.append(M)
+        return classify(M, budget)
+
+    cases = _pass_cases() + [(name, [rep]) for name, rep in _submodule_cases()]
+    for name, reps in cases:
+        monkeypatch.setattr(quiverrep, "_CACHE", {})
+        monkeypatch.setattr(quiverrep, "classify_rep", counted)
+        calls.clear()
+        submodule_type_tables(reps, budget=3 ** 16)
+        monkeypatch.setattr(quiverrep, "classify_rep", classify)
+        assert calls[0] == reps[0], name
+        need = min(quiverrep._CACHE["classify_rep", R][0] for R in reps)
+        assert max(quiverrep._CACHE["classify_rep", M][0] for M in calls) <= need, name
+
+
+def test_generic_enumeration_shared_across_flags(monkeypatch):
+    # with no closed form, force_generic runs the plain enumeration, so the
+    # two share one kept result; on the Jordan loop they stay apart
+    seeds = quiverrep._orbit_seeds
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return seeds(*args)
+
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    monkeypatch.setattr(quiverrep, "_orbit_seeds", counted)
+    K = Quiver.kronecker()
+    classes = enumerate_iso_classes(K, 2, (2, 2), force_generic=True)
+    assert enumerate_iso_classes(K, 2, (2, 2)) == classes
+    for label, rep, _ in classes:
+        assert classify_rep(rep) == label
+    assert len(calls) == 1
+    J = Quiver.jordan_quiver()
+    closed = enumerate_iso_classes(J, 2, 3)
+    assert len(calls) == 1
+    generic = enumerate_iso_classes(J, 2, 3, force_generic=True)
+    assert len(calls) == 2 and generic != closed
+    enumerate_iso_classes(J, 2, 3, force_generic=True)
+    assert len(calls) == 2
 
 
 def test_submodule_table_past_int64():
