@@ -729,7 +729,7 @@ def _pass_cases():
 
 def test_submodule_tables_pass_keeps_each_lone_table(monkeypatch):
     # one pass over a dimension vector's reps keeps, for each rep, what its
-    # lone build keeps (tuple count, classify_rep needs, entries in order),
+    # lone build keeps (tuple count and entries in order),
     # and classifies each distinct sub and quotient of the pass once
     classify = quiverrep.classify_rep
     calls = []
