@@ -20,16 +20,12 @@ first call into one of these kernels (the module global `np` starts as a
 stand-in), so importing this module, and every classical path, never
 loads it.
 
-A generic representation is classified by looking its base-q point code
-up among the enumerated points of its dimension vector, each tagged with
-its orbit. A nilpotent representation of a single cycle, the Jordan loop
-included, is a sum of chains: one closed form classifies it by the ranks
-of its path maps (cyclic_type), builds each class's representative
-(rep_from_cyclic_label) and takes its orbit size |GL_d| / |Aut M| from
-the closed form of |Aut M|, which aut_count's exhaustive scan checks in
-the tests. That scan is independent of the closed forms; it tests one
-endomorphism per F_q^x line, since a nonzero multiple of an automorphism
-is one, and its budget still counts all q^dim End M points.
+Each quiver's isomorphism classes come from one kind, which _kind picks:
+the chain kind (_Chains) on a nilpotent single cycle, the orbit kind
+(_Orbits) on every other quiver. aut_count's exhaustive scan is
+independent of both; it tests one endomorphism per F_q^x line, since a
+nonzero multiple of an automorphism is one, and its budget still counts
+all q^dim End M points.
 aut_count, enumerate_iso_classes and classify_rep keep their results
 through one helper, _cached, which checks the budget on every call
 against the count the cold call needed. submodule_type_tables keeps each
@@ -496,42 +492,6 @@ def jordan_rep(la: Partition, q: int) -> QuiverRep:
     return rep_from_label(Quiver.jordan_quiver(), q, la)
 
 
-def cyclic_chain_rep(Q: Quiver, q: int, start: int, length: int) -> QuiverRep:
-    """Indecomposable nilpotent chain of the cyclic quiver: basis slots at
-    vertices start, start+1, ..., start+length-1 (mod n), each arrow sending
-    slot c to slot c+1."""
-    start %= Q.n
-    return rep_from_cyclic_label(Q, q, tuple((length,) if v == start else () for v in range(Q.n)))
-
-
-def rep_from_cyclic_label(Q: Quiver, q: int, label: Tuple[Partition, ...]) -> QuiverRep:
-    """Direct sum of the chains of a tuple-of-partitions label on a single
-    cycle: each part l of the partition at vertex I is a chain of l basis
-    slots at I, I+1, ... (mod n), each arrow sending a slot to the next. A
-    vertex's basis runs chain by chain in label order, as in a fold of
-    direct_sum over the chains."""
-    if not Q.is_single_cycle():
-        raise ValueError("chain reps live on the cyclic quiver")
-    n = Q.n
-    dims = [0] * n
-    links = []  # (vertex of a slot, its position there, the next slot's position)
-    for start, la in enumerate(label):
-        for part in la:
-            prev = None
-            for c in range(part):
-                v = (start + c) % n
-                if prev is not None:
-                    links.append(prev + (dims[v],))
-                prev = (v, dims[v])
-                dims[v] += 1
-    eff = Q.effective_arrows()
-    arrow_from = {s: idx for idx, (s, _) in enumerate(eff)}
-    mats = [[[0] * dims[s] for _ in range(dims[t])] for s, t in eff]
-    for v, src, dst in links:
-        mats[arrow_from[v]][dst][src] = 1
-    return QuiverRep(Q, q, tuple(dims), tuple(tuple(tuple(r) for r in m) for m in mats))
-
-
 # ---------------------------------------------------------------------------
 # Hom spaces, automorphisms, isomorphism testing
 # ---------------------------------------------------------------------------
@@ -859,13 +819,6 @@ def gl_order_vec(dims: Sequence[int], q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def jordan_type(M: QuiverRep) -> Partition:
-    """Partition label from ranks of powers of the loop matrix."""
-    if not M.quiver.jordan:
-        raise ValueError("jordan_type needs the jordan backend")
-    return cyclic_type(M)[0]
-
-
 def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
     """Tuple-of-partitions label for a nilpotent rep of a single cycle (the
     Jordan loop included), from ranks of the composite path maps (no orbit
@@ -922,21 +875,19 @@ def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
 def cyclic_labels_for_dim(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[Partition, ...]]:
     """All tuple-of-partitions labels with the given dimension vector; on
     the Jordan quiver, the bare partitions of d in dominance order."""
+    if not Q.is_single_cycle() or len(d) != Q.n:
+        raise ValueError("cyclic_labels_for_dim needs a single cycle and one dimension per vertex")
     if Q.jordan:
         return sorted(all_partitions(d[0]), key=dominance_key)
-    # partition sizes per start vertex summing to the total dimension
-    def compositions(k: int, rem: int):
-        if k == 1:
-            yield (rem,)
-            return
-        for first in range(rem + 1):
-            for rest in compositions(k - 1, rem - first):
-                yield (first,) + rest
-
+    slots = sum(d) + Q.n - 1
     labels = []
-    for sizes in compositions(Q.n, sum(d)):
+    # partition sizes per start vertex summing to the total dimension: the
+    # gaps between n - 1 bars placed among sum(d) + n - 1 slots
+    for bars in itertools.combinations(range(slots), Q.n - 1):
+        ends = (-1,) + bars + (slots,)
+        sizes = [b - a - 1 for a, b in zip(ends, ends[1:])]
         for las in itertools.product(*(all_partitions(s) for s in sizes)):
-            if label_dim(Q, las) == tuple(d):
+            if _CHAINS.label_dim(Q, las) == tuple(d):
                 labels.append(las)
     return sorted(labels)
 
@@ -1009,7 +960,7 @@ def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> np.
     _int_dtype(layer, space - 1, "point codes", d, q)
     digit_dtype = np.uint8 if q <= 256 else np.int64
     D = sum(d)
-    use_fast_nilpotent = Q.nilpotent and Q.is_single_cycle() and D > 0
+    use_fast_nilpotent = _kind(Q) is _CHAINS and D > 0
     if not use_fast_nilpotent:
         points = np.empty((space, nslots), dtype=digit_dtype)
         for start in range(0, space, _CHUNK):
@@ -1171,96 +1122,97 @@ def _orbit_seeds(
 IsoClass = Tuple[object, QuiverRep, int]  # (label, representative, orbit size)
 
 
-def enumerate_iso_classes(
-    Q: Quiver,
-    q: int,
-    d,
-    budget: Optional[int] = None,
-    force_generic: bool = False,
-) -> List[IsoClass]:
-    """Isomorphism classes of representations with dimension vector d,
-    nilpotent ones only when the quiver is flagged nilpotent.
+class _Chains:
+    """The kind of a nilpotent single cycle, the Jordan loop included. Each
+    representation M is a sum of uniserial chains, m_I copies of the chain
+    I (one start vertex and length) each, so a label is a tuple of
+    partitions, the parts at vertex I the lengths of the chains that start
+    there; a Jordan label is the bare partition, in dominance order.
+    classify reads the label from the ranks of the path maps (cyclic_type).
+    End M modulo its radical is the product of the rings M_{m_I}(F_q), so
+    classes takes each orbit size |GL_d| / |Aut M| from the closed form
+    |Aut M| = q^(dim End M - sum m_I^2) prod |GL_{m_I}(F_q)|, which
+    aut_count's scan checks in the tests."""
 
-    Returns (label, representative, orbit_size) triples, deterministically
-    ordered. A nilpotent single cycle, the Jordan loop included, has one
-    closed-form classification by chains (labels are tuples of partitions,
-    with m_I equal parts at start vertex I; a Jordan label is the bare
-    partition, in dominance order): orbit size |GL_d| / a with
-    a = q^(dim End M - sum m_I^2) prod |GL_{m_I}(F_q)|. force_generic
-    bypasses it for cross-checking against the orbit enumeration.
-    """
-    if isinstance(d, int):
-        d = (d,)
-    d = tuple(int(x) for x in d)
-    if len(d) != Q.n or any(x < 0 for x in d):
-        raise ValueError("bad dimension vector")
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    return _iso_classes(Q, q, d, budget, force_generic)[0]
-
-
-def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], force_generic: bool = False):
-    """enumerate_iso_classes's cached value: (classes, point codes, class
-    index of each point), as _orbit_seeds gives them; codes is None when
-    every tuple is a point, and both are None on the closed-form branch."""
-    closed = Q.is_single_cycle() and Q.nilpotent and not force_generic
-
-    def enumerate_(budget: int):
+    def classes(self, Q: Quiver, q: int, d: Tuple[int, ...], budget: int):
         out: List[IsoClass] = []
-        if closed:
-            # M is a sum of uniserial chains, m_I copies of the chain I (one
-            # start vertex and length) each; End M modulo its radical is the
-            # product of the matrix rings M_{m_I}(F_q)
-            labels = cyclic_labels_for_dim(Q, d)
-            total = gl_order_vec(d, q)
-            for label in labels:
-                rep = rep_from_label(Q, q, label)
-                mults = [la.count(part) for la in _chain_label(Q, label) for part in set(la)]
-                a = q ** (hom_dim(rep, rep) - sum(m * m for m in mults))
-                a *= math.prod(gl_order(m, q) for m in mults)
-                if total % a:
-                    raise ConsistencyError(
-                        f"enumerate_iso_classes at dimension vector {d}, q={q}: the closed-form "
-                        f"|Aut| {a} of label {label} does not divide |GL_d| = {total} "
-                        "(orbit-stabilizer division failed)"
-                    )
-                out.append((label, rep, total // a))
-            return 0, (out, None, None)
+        total = gl_order_vec(d, q)
+        for label in cyclic_labels_for_dim(Q, d):
+            rep = rep_from_label(Q, q, label)
+            mults = [la.count(part) for la in self.parts(Q, label) for part in set(la)]
+            a = q ** (hom_dim(rep, rep) - sum(m * m for m in mults))
+            a *= math.prod(gl_order(m, q) for m in mults)
+            if total % a:
+                raise ConsistencyError(
+                    f"enumerate_iso_classes at dimension vector {d}, q={q}: the closed-form "
+                    f"|Aut| {a} of label {label} does not divide |GL_d| = {total} "
+                    "(orbit-stabilizer division failed)"
+                )
+            out.append((label, rep, total // a))
+        return 0, (out, None, None)
+
+    def classify(self, M: QuiverRep, budget: int):
+        label = cyclic_type(M)
+        return 0, label[0] if M.quiver.jordan else label
+
+    def parts(self, Q: Quiver, label) -> Tuple[Partition, ...]:
+        """A label as the tuple of partitions the chain code reads: a Jordan
+        label, a bare partition, is its one-vertex case."""
+        return (as_partition(label),) if Q.jordan else label
+
+    def label_dim(self, Q: Quiver, label) -> Tuple[int, ...]:
+        dims = [0] * Q.n
+        for start, la in enumerate(self.parts(Q, label)):
+            for part in la:
+                for c in range(part):
+                    dims[(start + c) % Q.n] += 1
+        return tuple(dims)
+
+    def rep(self, Q: Quiver, q: int, label) -> QuiverRep:
+        """Direct sum of a label's chains: each part l of the partition at
+        vertex I is a chain of l basis slots at I, I+1, ... (mod n), each
+        arrow sending a slot to the next. A vertex's basis runs chain by
+        chain in label order, as in a fold of direct_sum over the chains."""
+        n = Q.n
+        dims = [0] * n
+        links = []  # (vertex of a slot, its position there, the next slot's position)
+        for start, la in enumerate(self.parts(Q, label)):
+            for part in la:
+                prev = None
+                for c in range(part):
+                    v = (start + c) % n
+                    if prev is not None:
+                        links.append(prev + (dims[v],))
+                    prev = (v, dims[v])
+                    dims[v] += 1
+        eff = Q.effective_arrows()
+        arrow_from = {s: idx for idx, (s, _) in enumerate(eff)}
+        mats = [[[0] * dims[s] for _ in range(dims[t])] for s, t in eff]
+        for v, src, dst in links:
+            mats[arrow_from[v]][dst][src] = 1
+        return QuiverRep(Q, q, tuple(dims), tuple(tuple(tuple(r) for r in m) for m in mats))
+
+
+class _Orbits:
+    """The kind of every other quiver, and of any quiver under
+    force_generic: the classes are the GL_d orbits of the enumerated points
+    (_orbit_seeds), each labelled (d, mats) by its lex-least point. classify
+    looks a representation's base-q point code up among those points, so it
+    needs what the enumeration needs."""
+
+    def classes(self, Q: Quiver, q: int, d: Tuple[int, ...], budget: int):
         needed = _space_size(Q, q, d)
         _require_budget("enumerate_iso_classes", needed, budget, d, q)
         points, codes, seeds, sizes, owner = _orbit_seeds(Q, q, d, budget)
         shapes = _arrow_shapes(Q, d)
+        out: List[IsoClass] = []
         for i, size in zip(seeds.tolist(), sizes.tolist()):
             seed = _point_mats(points[i], shapes)
             out.append(((d, seed), QuiverRep(Q, q, d, seed), size))
         return needed, (out, codes, owner)
 
-    # keyed on the branch taken: where no closed form applies, force_generic
-    # runs the same enumeration as a plain call
-    return _cached("enumerate_iso_classes", (Q, q, d, closed), budget, d, q, enumerate_)
-
-
-def _invert_mat(m: Mat, p: int) -> Mat:
-    n = len(m)
-    aug = [list(m[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    red, pivots = _rref(aug, 2 * n, p)
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in red)
-
-
-def classify_rep(M: QuiverRep, budget: Optional[int] = None):
-    """Canonical IsoLabel of a representation: tuple of partitions on a
-    nilpotent single cycle (the bare partition on the Jordan loop), else
-    the lex-least orbit representative, looked up by M's base-q code among
-    the enumerated points at its dimension vector; it needs what that
-    enumeration needs."""
-
-    def classify(budget: int):
+    def classify(self, M: QuiverRep, budget: int):
         Q, q = M.quiver, M.q
-        if Q.is_single_cycle() and Q.nilpotent:
-            label = cyclic_type(M)
-            return 0, label[0] if Q.jordan else label
         needed = _space_size(Q, q, M.dims)
         _require_budget("classify_rep", needed, budget, M.dims, q)
         classes, codes, owner = _iso_classes(Q, q, M.dims, budget)
@@ -1276,33 +1228,78 @@ def classify_rep(M: QuiverRep, budget: Optional[int] = None):
             )
         return needed, classes[owner[pos]][0]
 
-    return _cached("classify_rep", M, budget, M.dims, M.q, classify)
+    def label_dim(self, Q: Quiver, label) -> Tuple[int, ...]:
+        return tuple(label[0])
+
+    def rep(self, Q: Quiver, q: int, label) -> QuiverRep:
+        dims, mats = label
+        return QuiverRep(Q, q, tuple(dims), mats)
 
 
-def _chain_label(Q: Quiver, label) -> Tuple[Partition, ...]:
-    """A single cycle's IsoLabel as the tuple of partitions the chain code
-    reads: a Jordan label, a bare partition, is its one-vertex case."""
-    return (as_partition(label),) if Q.jordan else label
+_CHAINS, _ORBITS = _Chains(), _Orbits()
+
+
+def _kind(Q: Quiver, force_generic: bool = False):
+    """The kind of Q; force_generic takes the orbits, the closed forms' oracle."""
+    return _CHAINS if Q.nilpotent and Q.is_single_cycle() and not force_generic else _ORBITS
+
+
+def enumerate_iso_classes(
+    Q: Quiver,
+    q: int,
+    d,
+    budget: Optional[int] = None,
+    force_generic: bool = False,
+) -> List[IsoClass]:
+    """Isomorphism classes of representations with dimension vector d,
+    nilpotent ones only when the quiver is flagged nilpotent.
+
+    Returns (label, representative, orbit_size) triples, deterministically
+    ordered, from Q's kind (_kind); force_generic takes the orbit
+    enumeration on every quiver.
+    """
+    if isinstance(d, int):
+        d = (d,)
+    d = tuple(int(x) for x in d)
+    if len(d) != Q.n or any(x < 0 for x in d):
+        raise ValueError("bad dimension vector")
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    return _iso_classes(Q, q, d, budget, force_generic)[0]
+
+
+def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], force_generic: bool = False):
+    """enumerate_iso_classes's cached value: (classes, point codes, class
+    index of each point), as _orbit_seeds gives them; codes is None when
+    every tuple is a point, and both are None for the chain kind."""
+    kind = _kind(Q, force_generic)
+    # keyed on the kind: where no closed form applies, force_generic runs
+    # the same enumeration as a plain call
+    compute = functools.partial(kind.classes, Q, q, d)
+    return _cached("enumerate_iso_classes", (Q, q, d, kind), budget, d, q, compute)
+
+
+def _invert_mat(m: Mat, p: int) -> Mat:
+    n = len(m)
+    aug = [list(m[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    red, pivots = _rref(aug, 2 * n, p)
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def classify_rep(M: QuiverRep, budget: Optional[int] = None):
+    """Canonical IsoLabel of a representation, from its quiver's kind."""
+    return _cached("classify_rep", M, budget, M.dims, M.q, lambda budget: _kind(M.quiver).classify(M, budget))
 
 
 def label_dim(Q: Quiver, label) -> Tuple[int, ...]:
     """Dimension vector of an IsoLabel."""
-    if Q.is_single_cycle() and Q.nilpotent:
-        dims = [0] * Q.n
-        for start, la in enumerate(_chain_label(Q, label)):
-            for part in la:
-                for c in range(part):
-                    dims[(start + c) % Q.n] += 1
-        return tuple(dims)
-    # generic label: (dims, mats)
-    return tuple(label[0])
+    return _kind(Q).label_dim(Q, label)
 
 
 def rep_from_label(Q: Quiver, q: int, label) -> QuiverRep:
-    if Q.is_single_cycle() and Q.nilpotent:
-        return rep_from_cyclic_label(Q, q, _chain_label(Q, label))
-    dims, mats = label
-    return QuiverRep(Q, q, tuple(dims), mats)
+    return _kind(Q).rep(Q, q, label)
 
 
 # ---------------------------------------------------------------------------

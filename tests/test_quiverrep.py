@@ -34,7 +34,6 @@ from hallalg.quiverrep import (
     aut_count,
     classify_rep,
     count_submodules,
-    cyclic_chain_rep,
     cyclic_labels_for_dim,
     cyclic_type,
     direct_sum,
@@ -45,7 +44,6 @@ from hallalg.quiverrep import (
     hom_dim,
     is_isomorphic,
     jordan_rep,
-    jordan_type,
     label_dim,
     quiver_has_cycle,
     rep_from_label,
@@ -412,7 +410,7 @@ def test_enumerate_jordan_generic_crosscheck():
             assert len(closed) == len(generic)
             by_label = {}
             for lab, rep, size in generic:
-                by_label[jordan_type(rep)] = size
+                by_label[classify_rep(rep)] = size
             assert {lab: size for lab, _, size in closed} == by_label
 
 
@@ -505,14 +503,14 @@ def test_classify_jordan():
     for q in (2, 3):
         for n in range(5):
             for la in all_partitions(n):
-                assert jordan_type(jordan_rep(la, q)) == la
+                assert classify_rep(_jordan_rep_ref(la, q)) == la
                 assert classify_rep(jordan_rep(la, q)) == la
     # direct sums classify to merged partitions
     r = direct_sum(jordan_rep((2,), 2), jordan_rep((2, 1), 2))
     assert classify_rep(r) == (2, 2, 1)
     # a loop matrix that is not nilpotent fails instead of looping forever
     with pytest.raises(ConsistencyError, match="not nilpotent"):
-        jordan_type(_unvalidated_rep(Quiver.jordan_quiver(), 3, (2,), ((((1, 0), (0, 0))),)))
+        classify_rep(_unvalidated_rep(Quiver.jordan_quiver(), 3, (2,), ((((1, 0), (0, 0))),)))
 
 
 def _classify_by_scan(M):
@@ -541,6 +539,8 @@ def _all_reps(Q, q, d):
 _TWO_CYCLE = Quiver(("0", "1"), (("0", "1"), ("1", "0")))
 # a cycle with a tail: nilpotent, but neither Jordan nor a single cycle
 _NILPOTENT_TAIL = Quiver(("0", "1", "2"), (("0", "1"), ("1", "0"), ("1", "2")), nilpotent=True)
+# a single cycle, but unflagged: the orbit kind classifies it
+_LOOP = Quiver(("1",), (("1", "1"),))
 
 
 @pytest.mark.parametrize(
@@ -553,10 +553,18 @@ _NILPOTENT_TAIL = Quiver(("0", "1", "2"), (("0", "1"), ("1", "0"), ("1", "2")), 
         (_TWO_CYCLE, 2, (2, 1)),
         (_NILPOTENT_TAIL, 2, (1, 1, 1)),
         (_NILPOTENT_TAIL, 2, (2, 1, 1)),
+        (Quiver.cyclic(2), 2, (1, 1)),
+        (Quiver.cyclic(2), 2, (2, 1)),
+        (Quiver.cyclic(3), 2, (1, 1, 1)),
+        (Quiver.jordan_quiver(), 2, (3,)),
+        (Quiver.jordan_quiver(), 3, (2,)),
+        (_LOOP, 2, (2,)),
+        (_LOOP, 3, (2,)),
     ],
 )
 def test_classify_lookup_matches_scan(Q, q, d):
-    # the point-code lookup against isomorphism scans, on every point
+    # each kind's classifier (the point-code lookup, or the chain ranks on
+    # a flagged single cycle) against isomorphism scans, on every point
     classes = enumerate_iso_classes(Q, q, d)
     for label, rep, _ in classes:
         assert label_dim(Q, label) == d
@@ -567,6 +575,24 @@ def test_classify_lookup_matches_scan(Q, q, d):
         assert label == _classify_by_scan(M), M
         sizes[label] += 1
     assert sizes == {label: size for label, _, size in classes}
+
+
+def test_kind_is_chains_exactly_on_flagged_single_cycles():
+    for Q in (Quiver.cyclic(2), Quiver.cyclic(3), Quiver.jordan_quiver()):
+        assert isinstance(quiverrep._kind(Q), quiverrep._Chains), Q
+    for Q in (_LOOP, _TWO_CYCLE, _NILPOTENT_TAIL, Quiver.a2(), Quiver.kronecker()):
+        assert isinstance(quiverrep._kind(Q), quiverrep._Orbits), Q
+    for Q in (Quiver.cyclic(2), Quiver.jordan_quiver(), _LOOP, _NILPOTENT_TAIL, Quiver.a2()):
+        assert isinstance(quiverrep._kind(Q, force_generic=True), quiverrep._Orbits), Q
+
+
+def test_cyclic_labels_refuse_other_quivers_and_lengths():
+    # chain labels exist only on a single cycle, one dimension per vertex
+    with pytest.raises(ValueError, match="single cycle"):
+        cyclic_labels_for_dim(Quiver.a2(), (1, 1))
+    for Q, d in ((Quiver.cyclic(3), (1, 1)), (Quiver.jordan_quiver(), (1, 1)), (Quiver.cyclic(2), ())):
+        with pytest.raises(ValueError, match="one dimension per vertex"):
+            cyclic_labels_for_dim(Q, d)
 
 
 @st.composite
@@ -990,7 +1016,7 @@ def test_chain_builder_matches_direct_sum_fold():
                 assert rep_from_label(J, q, la) == want
                 assert jordan_rep(la, q) == want
         for k in range(1, 6):
-            assert cyclic_chain_rep(J, q, 0, k) == jordan_rep((k,), q)
+            assert rep_from_label(J, q, (k,)) == _chain_rep_ref(J, q, 0, k)
         for nq in (2, 3):
             Q = Quiver.cyclic(nq)
             for total in range(6):
@@ -999,7 +1025,8 @@ def test_chain_builder_matches_direct_sum_fold():
                         assert rep_from_label(Q, q, label) == _chain_sum_ref(Q, q, label)
             for start in range(nq):
                 for k in range(6):
-                    assert cyclic_chain_rep(Q, q, start, k) == _chain_rep_ref(Q, q, start, k)
+                    label = tuple((k,) if v == start else () for v in range(nq))
+                    assert rep_from_label(Q, q, label) == _chain_rep_ref(Q, q, start, k)
 
 
 def test_non_nilpotent_cycles_name_the_layer():
@@ -1015,10 +1042,10 @@ def test_non_nilpotent_cycles_name_the_layer():
 
 def test_chain_rep_shapes():
     C3 = Quiver.cyclic(3)
-    r = cyclic_chain_rep(C3, 2, 0, 4)
+    r = rep_from_label(C3, 2, ((4,), (), ()))
     assert r.dims == (2, 1, 1)
     assert cyclic_type(r) == ((4,), (), ())
-    r2 = cyclic_chain_rep(C3, 2, 2, 2)
+    r2 = rep_from_label(C3, 2, ((), (), (2,)))
     assert r2.dims == (1, 0, 1)
     assert cyclic_type(r2) == ((), (), (2,))
 
@@ -1050,7 +1077,7 @@ def _sample_reps():
     return (
         QuiverRep(Quiver.a2(), 3, (1, 2), (((1,), (2,)),)),
         QuiverRep(Quiver.kronecker(), 2, (1, 1), (((1,),), ((0,),))),
-        cyclic_chain_rep(Quiver.cyclic(3), 2, 0, 4),
+        rep_from_label(Quiver.cyclic(3), 2, ((4,), (), ())),
         jordan_rep((2, 1), 3),
         zero_rep(Quiver.a2(), 5),
     )
@@ -1251,7 +1278,7 @@ def test_generic_jordan_in_sub_chunks_matches_closed_form(monkeypatch):
     J = Quiver.jordan_quiver()
     generic = enumerate_iso_classes(J, 3, 3, force_generic=True)
     closed = enumerate_iso_classes(J, 3, 3)
-    assert sorted((jordan_type(rep), size) for _, rep, size in generic) == sorted(
+    assert sorted((classify_rep(rep), size) for _, rep, size in generic) == sorted(
         (lab, size) for lab, _, size in closed
     )
     assert sum(size for *_, size in generic) == 3 ** 6
