@@ -8,9 +8,10 @@ labelling, the automorphism / isomorphism scan, and the submodule stability
 test with its sub / quotient matrices. Each checks, from q and the size,
 that its fixed-width intermediates fit their dtype, and most take the
 narrowest dtype that does (_int_dtype); the orbit enumeration works on
-fixed-size sub-chunks, so its memory is what it keeps (uint8 digits, int32
-permutations), not its temporaries. The submodule kernel, int16 at every
-q the suites use, switches to Python-int arrays where int64 would not
+fixed-size sub-chunks, so its memory is what it keeps (uint8 digits, and
+one index permutation of the points per GL generator, at most three per
+vertex), not its temporaries. The submodule kernel, int16 at every q the
+suites use, switches to Python-int arrays where int64 would not
 hold its products. One pass of it (submodule_type_tables) builds the
 tables of every rep of one quiver, q and dimension vector, so numpy's
 fixed cost per call is paid once per dimension vector rather than once
@@ -21,7 +22,8 @@ stand-in), so importing this module, and every classical path, never
 loads it.
 
 Each quiver's isomorphism classes come from one kind, which _kind picks:
-the chain kind (_Chains) on a nilpotent single cycle, the orbit kind
+the chain kind (_Chains) on a nilpotent single cycle, whose labels, dim
+End M and |Aut M| are closed forms in the chains, and the orbit kind
 (_Orbits) on every other quiver. aut_count's exhaustive scan is
 independent of both; it tests one endomorphism per F_q^x line, since a
 nonzero multiple of an automorphism is one, and its budget still counts
@@ -284,20 +286,6 @@ def sym_form_add(Q: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # mod-p matrices as nested tuples
 # ---------------------------------------------------------------------------
-
-
-def _matmul(A: Mat, B: Mat, p: int) -> Mat:
-    if not A:
-        return ()
-    inner = len(A[0])
-    if inner == 0:
-        # cols of B unknowable from B itself; only valid target is zero cols
-        return tuple(() for _ in A)
-    cols = len(B[0]) if B else 0
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(inner)) % p for j in range(cols))
-        for i in range(len(A))
-    )
 
 
 def _mat_vec(A: Mat, v: Tuple[int, ...], p: int) -> Tuple[int, ...]:
@@ -835,20 +823,22 @@ def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
     where = f"classify_rep at dimension vector {M.dims}, q={p}"
     eff = Q.effective_arrows()
     arrow_from = {s: idx for idx, (s, t) in enumerate(eff)}
-    # r[i][l] = rank of the length-l path composite starting at vertex i;
-    # each walk stops at its first zero rank, and a nilpotent rep of total
-    # dimension D has every length-D path map zero
+    # r[i][l] = rank of the length-l path map starting at vertex i, the
+    # dimension of its image: the RREF rows of the previous image pushed
+    # through one arrow. Each walk stops at its first zero rank, and a
+    # nilpotent rep of total dimension D has every length-D path map zero
     r = [[0] * (D + 2) for _ in range(n)]
     for i in range(n):
-        comp = _identity(M.dims[i])
+        image = _identity(M.dims[i])
         r[i][0] = M.dims[i]
         v = i
         for l in range(1, D + 1):
-            if not r[i][l - 1]:
+            if not image:
                 break
-            comp = _matmul(M.mats[arrow_from[v]], comp, p)
+            arrow = M.mats[arrow_from[v]]
             v = (v + 1) % n
-            r[i][l] = _rank(comp, len(comp[0]), p) if comp and comp[0] else 0
+            image = _rref([_mat_vec(arrow, row, p) for row in image], M.dims[v], p)[0]
+            r[i][l] = len(image)
         if r[i][D]:
             raise ConsistencyError(f"{where}: the path maps are not nilpotent")
 
@@ -873,23 +863,39 @@ def cyclic_type(M: QuiverRep) -> Tuple[Partition, ...]:
 
 
 def cyclic_labels_for_dim(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[Partition, ...]]:
-    """All tuple-of-partitions labels with the given dimension vector; on
-    the Jordan quiver, the bare partitions of d in dominance order."""
+    """All tuple-of-partitions labels with the given dimension vector,
+    sorted; on the Jordan quiver, the bare partitions of d in dominance
+    order. Vertex by vertex, each start vertex takes the partitions whose
+    chains fit in what the earlier ones left of d, so only labels that fill
+    d are built; the completions of one (vertex, remainder) are found once."""
     if not Q.is_single_cycle() or len(d) != Q.n:
         raise ValueError("cyclic_labels_for_dim needs a single cycle and one dimension per vertex")
     if Q.jordan:
         return sorted(all_partitions(d[0]), key=dominance_key)
-    slots = sum(d) + Q.n - 1
-    labels = []
-    # partition sizes per start vertex summing to the total dimension: the
-    # gaps between n - 1 bars placed among sum(d) + n - 1 slots
-    for bars in itertools.combinations(range(slots), Q.n - 1):
-        ends = (-1,) + bars + (slots,)
-        sizes = [b - a - 1 for a, b in zip(ends, ends[1:])]
-        for las in itertools.product(*(all_partitions(s) for s in sizes)):
-            if _CHAINS.label_dim(Q, las) == tuple(d):
-                labels.append(las)
-    return sorted(labels)
+    n = Q.n
+
+    def fits(start: int, rem: Tuple[int, ...], most: int):
+        """(partition, what its chains leave of rem) for each partition with
+        parts at most `most` whose chains from `start` fit in rem."""
+        yield (), rem
+        left = list(rem)
+        for l in range(1, most + 1):
+            # the chain of length l covers the one of length l - 1 and one slot more
+            v = (start + l - 1) % n
+            if not left[v]:
+                break
+            left[v] -= 1
+            for rest, after in fits(start, tuple(left), l):
+                yield (l,) + rest, after
+
+    @functools.cache
+    def fill(start: int, rem: Tuple[int, ...]) -> List[Tuple[Partition, ...]]:
+        """The partitions at vertices start..n-1 whose chains fill rem."""
+        if start == n:
+            return [] if any(rem) else [()]
+        return [(la,) + rest for la, left in fits(start, rem, sum(rem)) for rest in fill(start + 1, left)]
+
+    return sorted(fill(0, tuple(d)))
 
 
 def _space_size(Q: Quiver, q: int, d: Tuple[int, ...]) -> int:
@@ -899,34 +905,27 @@ def _space_size(Q: Quiver, q: int, d: Tuple[int, ...]) -> int:
     return total
 
 
-def _gl_generators(n: int, p: int) -> List[Mat]:
-    """Transvections and a primitive-root dilation generate GL(n, p)."""
-    gens: List[Mat] = []
-    if n == 0:
-        return gens
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = [list(r) for r in _identity(n)]
-            m[i][j] = 1 % p
-            gens.append(tuple(tuple(r) for r in m))
-            m2 = [list(r) for r in _identity(n)]
-            m2[i][j] = (-1) % p
-            gens.append(tuple(tuple(r) for r in m2))
-    if p > 2:
+def _gl_generators(n: int, p: int) -> List[Tuple[Mat, Mat]]:
+    """At most three generators of GL(n, p), each paired with its inverse:
+    the transvection 1 + E_01 (inverse 1 - E_01), the cyclic shift of the
+    basis e_i -> e_(i+1 mod n) (inverse its transpose) and, for p > 2,
+    diag(w, 1, ..., 1) with w a primitive root (inverse diag(w^-1, 1, ...)).
+    Conjugating 1 + E_01 by powers of the shift gives every 1 + E_(i,i+1)
+    (indices mod n), their commutators every elementary transvection and so
+    SL(n, p), and w every determinant. n = 1 keeps only the dilation."""
+    def mat(entries) -> Mat:
+        return tuple(tuple(entries.get((i, j), 0) for j in range(n)) for i in range(n))
+
+    ones = {(i, i): 1 for i in range(n)}
+    gens = []
+    if n > 1:
+        gens.append((mat({**ones, (0, 1): 1}), mat({**ones, (0, 1): p - 1})))
+        shift = {((i + 1) % n, i): 1 for i in range(n)}
+        gens.append((mat(shift), mat({(j, i): 1 for i, j in shift})))
+    if n and p > 2:
         root = _primitive_root(p)
-        for r in (root, pow(root, p - 2, p)):
-            m = [list(row) for row in _identity(n)]
-            m[0][0] = r
-            gens.append(tuple(tuple(row) for row in m))
-    seen = set()
-    out = []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
+        gens.append((mat({**ones, (0, 0): root}), mat({**ones, (0, 0): pow(root, p - 2, p)})))
+    return gens
 
 
 def _primitive_root(p: int) -> int:
@@ -1058,10 +1057,14 @@ def _orbit_seeds(
     base-q codes or None when every tuple is a point (a code is then its
     row), seed row indices, orbit sizes, orbit index of each point), seeds
     increasing. A seed is the lex-least row of its orbit, found by
-    min-label propagation over the generators with pointer jumping.
-    Codes are in the narrowest dtype that holds q^nslots - 1, and
-    generator permutations, labels and orbit indices in the one that holds
-    the point count; images are formed _SUBCHUNK matrix entries at a time."""
+    min-label propagation with pointer jumping over one permutation of the
+    points per generator of _gl_generators, so at most three per vertex.
+    The labels flow one way, from a point's image to the point; as each
+    generator has finite order, its cycles carry them round, and at the
+    fixed point a label is constant on every orbit. Codes are in the
+    narrowest dtype that holds q^nslots - 1, and generator permutations,
+    labels and orbit indices in the one that holds the point count; images
+    are formed _SUBCHUNK matrix entries at a time."""
     layer = "enumerate_iso_classes"
     nslots = sum(r * c for r, c in _arrow_shapes(Q, d))
     # digits (< q) times generator entries (< q), summed over nslots terms
@@ -1081,8 +1084,8 @@ def _orbit_seeds(
     eye = np.eye(nslots, dtype=image_dtype)
     perms = []  # perm[i] = row index of the image of row i under one generator
     for v in range(Q.n):
-        for g in _gl_generators(d[v], q):
-            act_t = _generator_matrix(Q, d, v, g, _invert_mat(g, q), q).T.astype(image_dtype)
+        for g, g_inv in _gl_generators(d[v], q):
+            act_t = _generator_matrix(Q, d, v, g, g_inv, q).T.astype(image_dtype)
             # a code changes only at the slots g moves: by (new - old digit)
             # times their weights, in all at most q^nslots - 1 either way
             moved = np.flatnonzero((act_t != eye).any(axis=0))
@@ -1132,15 +1135,16 @@ class _Chains:
     End M modulo its radical is the product of the rings M_{m_I}(F_q), so
     classes takes each orbit size |GL_d| / |Aut M| from the closed form
     |Aut M| = q^(dim End M - sum m_I^2) prod |GL_{m_I}(F_q)|, which
-    aut_count's scan checks in the tests."""
+    aut_count's scan checks in the tests, with dim End M counted from the
+    chains (end_dim), not solved for."""
 
     def classes(self, Q: Quiver, q: int, d: Tuple[int, ...], budget: int):
         out: List[IsoClass] = []
         total = gl_order_vec(d, q)
         for label in cyclic_labels_for_dim(Q, d):
             rep = rep_from_label(Q, q, label)
-            mults = [la.count(part) for la in self.parts(Q, label) for part in set(la)]
-            a = q ** (hom_dim(rep, rep) - sum(m * m for m in mults))
+            mults = self.chains(Q, label).values()
+            a = q ** (self.end_dim(Q, label) - sum(m * m for m in mults))
             a *= math.prod(gl_order(m, q) for m in mults)
             if total % a:
                 raise ConsistencyError(
@@ -1159,6 +1163,24 @@ class _Chains:
         """A label as the tuple of partitions the chain code reads: a Jordan
         label, a bare partition, is its one-vertex case."""
         return (as_partition(label),) if Q.jordan else label
+
+    def chains(self, Q: Quiver, label) -> Counter:
+        """The multiplicity m_I of each chain I = (start vertex, length)."""
+        return Counter((i, l) for i, la in enumerate(self.parts(Q, label)) for l in la)
+
+    def end_dim(self, Q: Quiver, label) -> int:
+        """dim End M of a label's chain sum: over ordered pairs of its chains
+        U(i, l), U(j, m), dim Hom(U(i, l), U(j, m)) counts the slots k of
+        U(j, m) where the top of U(i, l) can go, those at vertex i (k = i - j
+        mod n) that l arrows carry past its end (m - l <= k < m)."""
+        n = Q.n
+        chains = self.chains(Q, label).items()
+        total = 0
+        for (i, l), a in chains:
+            for (j, m), b in chains:
+                lo = max(0, m - l)
+                total += a * b * len(range(lo + (i - j - lo) % n, m, n))
+        return total
 
     def label_dim(self, Q: Quiver, label) -> Tuple[int, ...]:
         dims = [0] * Q.n
@@ -1279,27 +1301,31 @@ def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], f
     return _cached("enumerate_iso_classes", (Q, q, d, kind), budget, d, q, compute)
 
 
-def _invert_mat(m: Mat, p: int) -> Mat:
-    n = len(m)
-    aug = [list(m[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    red, pivots = _rref(aug, 2 * n, p)
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in red)
-
-
 def classify_rep(M: QuiverRep, budget: Optional[int] = None):
     """Canonical IsoLabel of a representation, from its quiver's kind."""
     return _cached("classify_rep", M, budget, M.dims, M.q, lambda budget: _kind(M.quiver).classify(M, budget))
 
 
+def _label_kind(Q: Quiver, label):
+    """The kind that reads `label`: Q's own, or the orbits for an orbit label
+    (d, mats) of a chain quiver, as force_generic lists them. Such a label's
+    second entry holds one matrix (a tuple) per arrow, where a chain label's
+    holds a partition's parts or is one."""
+    kind = _kind(Q)
+    if kind is _CHAINS and len(label) == 2:
+        mats = label[1]
+        if isinstance(mats, tuple) and len(mats) == len(Q.arrows) and all(isinstance(m, tuple) for m in mats):
+            return _ORBITS
+    return kind
+
+
 def label_dim(Q: Quiver, label) -> Tuple[int, ...]:
     """Dimension vector of an IsoLabel."""
-    return _kind(Q).label_dim(Q, label)
+    return _label_kind(Q, label).label_dim(Q, label)
 
 
 def rep_from_label(Q: Quiver, q: int, label) -> QuiverRep:
-    return _kind(Q).rep(Q, q, label)
+    return _label_kind(Q, label).rep(Q, q, label)
 
 
 # ---------------------------------------------------------------------------

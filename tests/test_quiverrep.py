@@ -25,9 +25,8 @@ from hallalg.quiverrep import (
     _det_worst,
     _enumerate_points,
     _gl_generators,
-    _invert_mat,
-    _matmul,
     _mat_vec,
+    _rref,
     _space_size,
     _submodule_dtype,
     _unvalidated_rep,
@@ -54,6 +53,23 @@ from hallalg.quiverrep import (
     sym_form_add,
     zero_rep,
 )
+
+
+def _matmul(A, B, p):
+    """A B mod p for nested-tuple matrices; B has at least one row."""
+    return tuple(
+        tuple(sum(a * B[k][j] for k, a in enumerate(row)) % p for j in range(len(B[0])))
+        for row in A
+    )
+
+
+def _invert_mat(m, p):
+    """The inverse of an invertible n x n matrix mod p, by RREF of [m | 1]."""
+    n = len(m)
+    aug = [list(m[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    red, pivots = _rref(aug, 2 * n, p)
+    assert pivots[:n] == tuple(range(n)), "matrix is singular"
+    return tuple(tuple(row[n:]) for row in red)
 
 
 def _subspaces(d, k, p):
@@ -593,6 +609,62 @@ def test_cyclic_labels_refuse_other_quivers_and_lengths():
     for Q, d in ((Quiver.cyclic(3), (1, 1)), (Quiver.jordan_quiver(), (1, 1)), (Quiver.cyclic(2), ())):
         with pytest.raises(ValueError, match="one dimension per vertex"):
             cyclic_labels_for_dim(Q, d)
+
+
+def _cyclic_labels_ref(Q, d):
+    """Reference label lister: every tuple of partitions whose sizes sum to
+    the total dimension (n - 1 bars among sum(d) + n - 1 slots), kept when
+    its chains fill d; on the Jordan quiver, bare partitions in dominance
+    order."""
+    n = Q.n
+    slots = sum(d) + n - 1
+    labels = []
+    for bars in itertools.combinations(range(slots), n - 1):
+        ends = (-1,) + bars + (slots,)
+        sizes = [b - a - 1 for a, b in zip(ends, ends[1:])]
+        for las in itertools.product(*(all_partitions(s) for s in sizes)):
+            dims = [0] * n
+            for start, la in enumerate(las):
+                for part in la:
+                    for c in range(part):
+                        dims[(start + c) % n] += 1
+            if tuple(dims) == tuple(d):
+                labels.append(las)
+    if Q.jordan:
+        return sorted((la for (la,) in labels), key=dominance_key)
+    return sorted(labels)
+
+
+def test_cyclic_labels_match_the_filtered_reference():
+    # the lister builds only labels that fill d; the reference filters every
+    # tuple of partitions of the total
+    cases = [(Quiver.jordan_quiver(), (t,)) for t in range(7)]
+    cases += [(Quiver.cyclic(n), d) for n in (2, 3, 4) for t in range(7) for d in _dim_vectors(n, t)]
+    for Q, d in cases:
+        assert cyclic_labels_for_dim(Q, d) == _cyclic_labels_ref(Q, d), (Q.n, d)
+    assert len(cyclic_labels_for_dim(Quiver.cyclic(3), (3, 3, 3))) == 192
+
+
+def test_chain_end_count_matches_hom_dim():
+    # dim End M counted from the chains equals the nullspace dimension
+    cases = [(Quiver.jordan_quiver(), (t,)) for t in range(7)]
+    cases += [(Quiver.cyclic(n), d) for n in (2, 3, 4) for t in range(6) for d in _dim_vectors(n, t)]
+    for Q, d in cases:
+        for label in cyclic_labels_for_dim(Q, d):
+            M = rep_from_label(Q, 2, label)
+            assert quiverrep._CHAINS.end_dim(Q, label) == hom_dim(M, M), (Q.n, label)
+
+
+def test_orbit_labels_of_chain_quivers_read_back():
+    # force_generic labels a chain quiver's classes (d, mats), plain tuples;
+    # label_dim and rep_from_label read them back beside the chain labels
+    cases = ((Quiver.jordan_quiver(), (2,)), (Quiver.cyclic(3), (1, 1, 0)), (Quiver.cyclic(2), (2, 2)))
+    for Q, d in cases:
+        for force_generic in (True, False):
+            for label, rep, _ in enumerate_iso_classes(Q, 2, d, force_generic=force_generic):
+                assert type(label) is tuple
+                assert label_dim(Q, label) == d
+                assert rep_from_label(Q, 2, label) == rep
 
 
 @st.composite
@@ -1318,6 +1390,22 @@ def test_orbit_enumeration_working_set_is_bounded():
     assert peak < 8 * 2 ** 20
 
 
+def test_orbit_labelling_keeps_one_permutation_per_generator():
+    # Kronecker (3, 3) at q=2 has 2^18 points: 4.5 MB of uint8 digits and
+    # 1 MB per int32 generator permutation. Two generators per vertex (the
+    # transvection 1 + E_01 and the shift) peak near 15 MB, where one
+    # permutation per elementary transvection (six per vertex) took 23 MB
+    K = Quiver.kronecker()
+    quiverrep._orbit_seeds(K, 2, (1, 1), 2 ** 24)
+    tracemalloc.start()
+    try:
+        quiverrep._orbit_seeds(K, 2, (3, 3), 2 ** 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2 ** 20
+
+
 def _brute_invertible(basis, dims, q):
     """Reference for the automorphism / isomorphism scan: every coefficient
     vector in itertools.product order, each vertex block summed and tested
@@ -1438,7 +1526,7 @@ def test_closed_form_division_error_names_the_class(monkeypatch):
     # a closed-form |Aut| that does not divide |GL_d| names the layer, the
     # dimension vector, the label and q
     monkeypatch.setattr(quiverrep, "_CACHE", {})
-    monkeypatch.setattr(quiverrep, "hom_dim", lambda M, N: 5)
+    monkeypatch.setattr(quiverrep._Chains, "end_dim", lambda self, Q, label: 5)
     with pytest.raises(ConsistencyError) as err:
         enumerate_iso_classes(Quiver.jordan_quiver(), 3, 1)
     assert str(err.value) == (
@@ -1474,7 +1562,7 @@ def _bfs_iso_classes(Q, q, d, nilpotent):
         if nilpotent and not _unvalidated_rep(Q, q, d, point)._is_nilpotent():
             continue
         points.append(point)
-    gens = [(v, g, _invert_mat(g, q)) for v in range(Q.n) for g in _gl_generators(d[v], q)]
+    gens = [(v, g, g_inv) for v in range(Q.n) for g, g_inv in _gl_generators(d[v], q)]
     visited = set()
     out = []
     for seed in points:
@@ -1509,3 +1597,24 @@ def test_orbit_labelling_matches_bfs(Q, q, d):
     got = enumerate_iso_classes(Q, q, d, force_generic=True)
     assert [(label, size) for label, _, size in got] == _bfs_iso_classes(Q, q, d, Q.nilpotent)
     assert all(rep.mats == label[1] for label, rep, _ in got)
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 7), (3, 2), (3, 3), (4, 2)])
+def test_gl_generators_generate_gl(n, p):
+    # the orbit labelling and _bfs_iso_classes above read these generators:
+    # at most three, each paired with its inverse, and their closure is all
+    # of GL(n, p)
+    gens = _gl_generators(n, p)
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert len(gens) <= 3
+    for g, g_inv in gens:
+        assert _matmul(g, g_inv, p) == one == _matmul(g_inv, g, p)
+    seen, frontier = {one}, [one]
+    while frontier:
+        x = frontier.pop()
+        for g, _ in gens:
+            y = _matmul(g, x, p)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    assert len(seen) == gl_order(n, p)
