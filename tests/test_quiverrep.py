@@ -1392,9 +1392,9 @@ def test_orbit_enumeration_working_set_is_bounded():
 
 def test_orbit_labelling_keeps_one_permutation_per_generator():
     # Kronecker (3, 3) at q=2 has 2^18 points: 4.5 MB of uint8 digits and
-    # 1 MB per int32 generator permutation. Two generators per vertex (the
-    # transvection 1 + E_01 and the shift) peak near 15 MB, where one
-    # permutation per elementary transvection (six per vertex) took 23 MB
+    # 1 MB per int32 generator permutation. Two generators per vertex at q=2
+    # (1 + E_01 and the shift) peak near 15 MB; one permutation per
+    # elementary transvection, six per vertex, passes 18 MB
     K = Quiver.kronecker()
     quiverrep._orbit_seeds(K, 2, (1, 1), 2 ** 24)
     tracemalloc.start()
