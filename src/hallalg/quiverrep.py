@@ -7,12 +7,13 @@ All counts are exact integers. numpy serves four brute-force kernels: point enum
 labelling, the automorphism / isomorphism scan, and the submodule stability
 test with its sub / quotient matrices. Each checks, from q and the size,
 that its fixed-width intermediates fit their dtype, and most take the
-narrowest dtype that does (_int_dtype); the orbit enumeration works on
-fixed-size sub-chunks, so its memory is what it keeps (uint8 digits, and
-one index permutation of the points per GL generator, at most three per
-vertex), not its temporaries. The submodule kernel, int16 at every q the
-suites use, switches to Python-int arrays where int64 would not
-hold its products. One pass of it (submodule_type_tables) builds the
+narrowest dtype that does (_int_dtype); the orbit enumeration holds a
+point only as its base-q code, and none when every tuple is a point, and
+expands digits one fixed-size block at a time, so its memory is what it
+keeps (the codes, and one index permutation of the points per GL
+generator, at most three per vertex), not its temporaries. The
+submodule kernel, int16 at every q the suites use, switches to
+Python-int arrays where int64 would not hold its products. One pass of it (submodule_type_tables) builds the
 tables of every rep of one quiver, q and dimension vector, so numpy's
 fixed cost per call is paid once per dimension vector rather than once
 per rep, and classifies each distinct sub and quotient of the pass
@@ -218,13 +219,16 @@ class Quiver(_Frozen):
                     (str(a["source"]), str(a["target"]))
                     for a in data.get("arrows", ())
                 ),
-                bool(data.get("nilpotent", False)),
+                data.get("nilpotent", False),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(
                 'quiver JSON needs {"vertices": [...], "arrows": '
                 '[{"source": ..., "target": ...}, ...]}'
             ) from exc
+        for flag in ("nilpotent", "jordan"):
+            if not isinstance(data.get(flag, False), bool):
+                raise ValueError(f'quiver JSON flag "{flag}" must be true or false, got {data[flag]!r}')
         if not data.get("jordan"):
             return Q
         # older files flag the Jordan quiver with "jordan": true, its loop implicit
@@ -642,14 +646,13 @@ _CHUNK = 1 << 17
 _SUBCHUNK = 1 << 16
 
 
-def _coeff_digit_block(start: int, stop: int, nslots: int, p: int, dtype) -> np.ndarray:
-    """The base-p digits of start..stop-1, one row each, most significant
+def _coeff_digit_block(codes: np.ndarray, nslots: int, p: int, dtype) -> np.ndarray:
+    """The nslots base-p digits of each code, one row each, most significant
     first, written straight into a `dtype` array (which must hold p-1)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, nslots), dtype=dtype)
-    for pos in range(nslots):
-        out[:, nslots - 1 - pos] = idx % p
-        idx = idx // p
+    out = np.empty((len(codes), nslots), dtype=dtype)
+    for pos in range(nslots - 1, -1, -1):
+        out[:, pos] = codes % p
+        codes = codes // p
     return out
 
 
@@ -719,7 +722,7 @@ def _scan_combinations(vertices, nb: int, first: int, offset: Optional[int], p: 
     nl = _low_width(nb - first, p)
     nh = nb - first - nl
     n_low = p ** nl
-    low_digits = _coeff_digit_block(0, n_low, nl, p, np.int64)
+    low_digits = _coeff_digit_block(np.arange(n_low), nl, p, np.int64)
     blocks = []  # (n, high basis (nh, n*n), low combinations (n*n, n_low))
     for n, dtype, flat in vertices:
         low = low_digits @ flat[nb - nl :]
@@ -730,7 +733,7 @@ def _scan_combinations(vertices, nb: int, first: int, offset: Optional[int], p: 
     count = 0
     for start in range(0, p ** nh, step):
         stop = min(start + step, p ** nh)
-        high_digits = _coeff_digit_block(start, stop, nh, p, np.int64)
+        high_digits = _coeff_digit_block(np.arange(start, stop), nh, p, np.int64)
         alive = None  # candidate indices in this block still invertible so far
         for n, high_basis, low in blocks:
             high = ((high_digits @ high_basis) % p).T.astype(low.dtype)
@@ -944,64 +947,67 @@ def _arrow_shapes(Q: Quiver, d: Tuple[int, ...]) -> List[Tuple[int, int]]:
     return [(d[t], d[s]) for s, t in Q.effective_arrows()]
 
 
-def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> np.ndarray:
-    """All matrix tuples at d (nilpotent only when Q is flagged) in lexicographic
-    order, one row per tuple and one column per matrix slot (effective
-    arrows in order, each matrix row-major), as uint8 digits when q <= 256
-    and int64 ones above. A row's base-q value is its position among all
-    q^nslots tuples."""
+def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> Optional[np.ndarray]:
+    """The base-q codes of the matrix tuples at d that Q's nilpotency filter
+    keeps, increasing, or None when every tuple is a point (always when Q
+    is unflagged or acyclic, or d = 0). A code reads a tuple's slots
+    (effective arrows in order, each matrix row-major) as base-q digits,
+    most significant first, so it is the tuple's position among all
+    q^nslots in lexicographic order. Codes are in the narrowest dtype that
+    holds q^nslots - 1; the filter expands digits one chunk of codes at a
+    time, testing a single cycle by block-matrix powers and any other
+    quiver point by point (_is_nilpotent)."""
     layer = "enumerate_iso_classes"
-    eff = Q.effective_arrows()
     shapes = _arrow_shapes(Q, d)
     nslots = sum(r * c for r, c in shapes)
     space = q ** nslots
     _require_budget(layer, space, budget, d, q)
-    _int_dtype(layer, space - 1, "point codes", d, q)
-    digit_dtype = np.uint8 if q <= 256 else np.int64
+    code_dtype = _int_dtype(layer, space - 1, "point codes", d, q)
     D = sum(d)
-    use_fast_nilpotent = _kind(Q) is _CHAINS and D > 0
-    if not use_fast_nilpotent:
-        points = np.empty((space, nslots), dtype=digit_dtype)
-        for start in range(0, space, _CHUNK):
-            stop = min(start + _CHUNK, space)
-            points[start:stop] = _coeff_digit_block(start, stop, nslots, q, digit_dtype)
-        if Q.nilpotent and D > 0 and quiver_has_cycle(Q):
-            keep = [
-                _unvalidated_rep(Q, q, d, _point_mats(row, shapes))._is_nilpotent()
-                for row in points
-            ]
-            points = points[np.array(keep, dtype=bool)]
-        return points
-
-    # single path structure per (i,j,k): the block-matrix power test is
-    # exact for a single cycle, the jordan loop included; entries of the squared
-    # block matrices reach D (q-1)^2 before reduction
-    work = _int_dtype(layer, D * (q - 1) ** 2, "nilpotency matrix powers", d, q)
+    if not (Q.nilpotent and D and quiver_has_cycle(Q)):
+        return None
+    # a chunk's D x D power matrices, and its digits (nslots <= D^2 on a
+    # single cycle), stay _SUBCHUNK entries
     rows = max(1, _SUBCHUNK // (D * D))
-    steps = max(1, int(np.ceil(np.log2(max(D, 2)))))
-    vert_off = [sum(d[:v]) for v in range(Q.n)]
-    blocks = []
-    for start in range(0, space, _CHUNK):
-        stop = min(start + _CHUNK, space)
-        digits = _coeff_digit_block(start, stop, nslots, q, digit_dtype)
-        keep = np.empty(stop - start, dtype=bool)
-        for a in range(0, stop - start, rows):
-            sub = digits[a : a + rows]
-            power = np.zeros((len(sub), D, D), dtype=work)
+    if _kind(Q) is _CHAINS:
+        # single path structure per (i,j,k): the block-matrix power test is
+        # exact for a single cycle, the jordan loop included; entries of the
+        # squared block matrices reach D (q-1)^2 before reduction
+        work = _int_dtype(layer, D * (q - 1) ** 2, "nilpotency matrix powers", d, q)
+        steps = max(1, int(np.ceil(np.log2(max(D, 2)))))
+        vert_off = [sum(d[:v]) for v in range(Q.n)]
+
+        def nilpotent(codes: np.ndarray) -> np.ndarray:
+            digits = _coeff_digit_block(codes, nslots, q, work)
+            power = np.zeros((len(codes), D, D), dtype=work)
             off = 0
-            for (s, t), (rr, cc) in zip(eff, shapes):
-                blk = sub[:, off : off + rr * cc].reshape(len(sub), rr, cc)
+            for (s, t), (rr, cc) in zip(Q.effective_arrows(), shapes):
+                blk = digits[:, off : off + rr * cc].reshape(len(codes), rr, cc)
                 power[:, vert_off[t] : vert_off[t] + rr, vert_off[s] : vert_off[s] + cc] = blk
                 off += rr * cc
             for _ in range(steps):
                 power = np.matmul(power, power) % q
-            keep[a : a + rows] = ~power.any(axis=(1, 2))
-        blocks.append(digits[keep])
-    return np.concatenate(blocks)
+            return ~power.any(axis=(1, 2))
+
+    else:
+
+        def nilpotent(codes: np.ndarray) -> np.ndarray:
+            digits = _coeff_digit_block(codes, nslots, q, np.int64)
+            return np.array(
+                [_unvalidated_rep(Q, q, d, _point_mats(row, shapes))._is_nilpotent() for row in digits],
+                dtype=bool,
+            )
+
+    kept = []
+    for start in range(0, space, rows):
+        codes = np.arange(start, min(start + rows, space), dtype=code_dtype)
+        kept.append(codes[nilpotent(codes)])
+    codes = np.concatenate(kept)
+    return None if len(codes) == space else codes
 
 
 def _point_mats(row: np.ndarray, shapes: Sequence[Tuple[int, int]]) -> Tuple[Mat, ...]:
-    """One digit row of _enumerate_points as a tuple of nested-tuple matrices."""
+    """One point's digit row (_coeff_digit_block) as a tuple of nested-tuple matrices."""
     vals = row.tolist()
     mats = []
     off = 0
@@ -1052,57 +1058,53 @@ def _point_rows(codes: Optional[np.ndarray], n_points: int, image):
 
 def _orbit_seeds(
     Q: Quiver, q: int, d: Tuple[int, ...], budget: int
-) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits of GL_d on the points of _enumerate_points: (points, their
-    base-q codes or None when every tuple is a point (a code is then its
-    row), seed row indices, orbit sizes, orbit index of each point), seeds
-    increasing. A seed is the lex-least row of its orbit, found by
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of GL_d on the points of _enumerate_points: (their base-q
+    codes, or None when every tuple is a point (a code is then its index),
+    seed point indices, orbit sizes, orbit index of each point), seeds
+    increasing. A seed is the lex-least point of its orbit, found by
     min-label propagation with pointer jumping over one permutation of the
     points per generator of _gl_generators, so at most three per vertex.
     The labels flow one way, from a point's image to the point; as each
     generator has finite order, its cycles carry them round, and at the
-    fixed point a label is constant on every orbit. Codes are in the
-    narrowest dtype that holds q^nslots - 1, and generator permutations,
-    labels and orbit indices in the one that holds the point count; images
-    are formed _SUBCHUNK matrix entries at a time."""
+    fixed point a label is constant on every orbit. Generator
+    permutations, labels and orbit indices are in the narrowest dtype that
+    holds the point count. The points' digits are expanded _SUBCHUNK
+    entries at a time, each block imaged under every generator."""
     layer = "enumerate_iso_classes"
+    codes = _enumerate_points(Q, q, d, budget)
     nslots = sum(r * c for r, c in _arrow_shapes(Q, d))
+    n_points = q ** nslots if codes is None else len(codes)
     # digits (< q) times generator entries (< q), summed over nslots terms
     image_dtype = _int_dtype(layer, nslots * (q - 1) ** 2, "generator images", d, q)
-    points = _enumerate_points(Q, q, d, budget)
-    n_points = len(points)
-    space = q ** nslots
-    code_dtype = _int_dtype(layer, space - 1, "point codes", d, q)
     index_dtype = _int_dtype(layer, n_points - 1, "point indices", d, q)
-    weights = np.array([q ** k for k in range(nslots - 1, -1, -1)], dtype=code_dtype)
-    rows = max(1, _SUBCHUNK // max(1, nslots))
-    codes = None
-    if n_points < space:
-        codes = np.empty(n_points, dtype=code_dtype)
-        for a in range(0, n_points, rows):
-            codes[a : a + rows] = points[a : a + rows] @ weights
+    # image codes take the dtype of the codes they are searched among
+    weights = np.array(
+        [q ** k for k in range(nslots - 1, -1, -1)], dtype=np.int64 if codes is None else codes.dtype
+    )
     eye = np.eye(nslots, dtype=image_dtype)
-    perms = []  # perm[i] = row index of the image of row i under one generator
+    gens = []  # (the slots a generator moves, their columns of its action, their weights)
     for v in range(Q.n):
         for g, g_inv in _gl_generators(d[v], q):
             act_t = _generator_matrix(Q, d, v, g, g_inv, q).T.astype(image_dtype)
+            moved = np.flatnonzero((act_t != eye).any(axis=0))
+            gens.append((moved, act_t[:, moved], weights[moved]))
+    perms = [np.empty(n_points, dtype=index_dtype) for _ in gens]  # perm[i] = index of point i's image
+    rows = max(1, _SUBCHUNK // max(1, nslots))
+    for a in range(0, n_points, rows):
+        block = np.arange(a, min(a + rows, n_points)) if codes is None else codes[a : a + rows]
+        digits = _coeff_digit_block(block, nslots, q, image_dtype)
+        for (moved, act, moved_weights), perm in zip(gens, perms):
             # a code changes only at the slots g moves: by (new - old digit)
             # times their weights, in all at most q^nslots - 1 either way
-            moved = np.flatnonzero((act_t != eye).any(axis=0))
-            act_t, moved_weights = act_t[:, moved], weights[moved]
-            perm = np.empty(n_points, dtype=index_dtype)
-            for a in range(0, n_points, rows):
-                block = points[a : a + rows]
-                image = np.arange(a, a + len(block)) if codes is None else codes[a : a + rows]
-                image = image + ((block @ act_t) % q - block[:, moved]) @ moved_weights
-                pos = _point_rows(codes, n_points, image)
-                if pos is None:
-                    raise ConsistencyError(
-                        f"{layer} at dimension vector {d}, q={q}: a generator maps an "
-                        "enumerated point outside the point set"
-                    )
-                perm[a : a + rows] = pos
-            perms.append(perm)
+            image = block + ((digits @ act) % q - digits[:, moved]) @ moved_weights
+            pos = _point_rows(codes, n_points, image)
+            if pos is None:
+                raise ConsistencyError(
+                    f"{layer} at dimension vector {d}, q={q}: a generator maps an "
+                    "enumerated point outside the point set"
+                )
+            perm[a : a + rows] = pos
     labels = np.arange(n_points, dtype=index_dtype)
     while True:
         before = labels.copy()
@@ -1115,11 +1117,11 @@ def _orbit_seeds(
             labels = jumped
         if np.array_equal(labels, before):
             break
-    # every label is now its orbit's seed, the one row it labels itself
+    # every label is now its orbit's seed, the one point it labels itself
     is_seed = labels == np.arange(n_points, dtype=index_dtype)
     seeds = np.flatnonzero(is_seed)
     owner = (np.cumsum(is_seed, dtype=index_dtype) - 1)[labels]
-    return points, codes, seeds, np.bincount(owner, minlength=len(seeds)), owner
+    return codes, seeds, np.bincount(owner, minlength=len(seeds)), owner
 
 
 IsoClass = Tuple[object, QuiverRep, int]  # (label, representative, orbit size)
@@ -1223,15 +1225,15 @@ class _Orbits:
     needs what the enumeration needs."""
 
     def classes(self, Q: Quiver, q: int, d: Tuple[int, ...], budget: int):
-        needed = _space_size(Q, q, d)
-        _require_budget("enumerate_iso_classes", needed, budget, d, q)
-        points, codes, seeds, sizes, owner = _orbit_seeds(Q, q, d, budget)
+        codes, seeds, sizes, owner = _orbit_seeds(Q, q, d, budget)
         shapes = _arrow_shapes(Q, d)
+        nslots = sum(r * c for r, c in shapes)
+        digits = _coeff_digit_block(seeds if codes is None else codes[seeds], nslots, q, np.int64)
         out: List[IsoClass] = []
-        for i, size in zip(seeds.tolist(), sizes.tolist()):
-            seed = _point_mats(points[i], shapes)
+        for row, size in zip(digits, sizes.tolist()):
+            seed = _point_mats(row, shapes)
             out.append(((d, seed), QuiverRep(Q, q, d, seed), size))
-        return needed, (out, codes, owner)
+        return _space_size(Q, q, d), (out, codes, owner)
 
     def classify(self, M: QuiverRep, budget: int):
         Q, q = M.quiver, M.q
@@ -1364,7 +1366,7 @@ def _vertex_subspaces(d: int, p: int, dtype) -> Tuple[np.ndarray, np.ndarray, np
             block[:, piv, piv] = 1
             if free:
                 rows, cols = zip(*free)
-                block[:, rows, cols] = _coeff_digit_block(0, stop - start, len(free), p, dtype)
+                block[:, rows, cols] = _coeff_digit_block(np.arange(stop - start), len(free), p, dtype)
             orders[start:stop] = piv + tuple(j for j in range(d) if j not in piv)
             kdims[start:stop] = k
             start = stop

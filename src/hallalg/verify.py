@@ -377,17 +377,15 @@ def suite_double_a1(q=2, budget=None) -> List[Dict]:
 
 
 def _point_total(Q: Quiver, q: int, d: Tuple[int, ...], budget) -> int:
-    """Independent count of the enumerated matrix tuples at dimension d."""
+    """The count of matrix tuples the enumeration classifies at dimension
+    d, independent of the orbit sizes: q^(n^2 - n) on the Jordan quiver,
+    else the codes a nilpotency filter keeps, or the whole space."""
     if Q.jordan:
         n = d[0]
         return q ** (n * n - n) if n else 1
-    if Q.nilpotent and quiverrep.quiver_has_cycle(Q):
-        b = budget if budget is not None else quiverrep.DEFAULT_BUDGET
-        return len(quiverrep._enumerate_points(Q, q, d, b))
-    total = 0
-    for (s, t) in Q.effective_arrows():
-        total += d[s] * d[t]
-    return q**total
+    b = budget if budget is not None else quiverrep.DEFAULT_BUDGET
+    codes = quiverrep._enumerate_points(Q, q, d, b)
+    return quiverrep._space_size(Q, q, d) if codes is None else len(codes)
 
 
 def suite_orbit_stabilizer(quiver=None, q=2, deg=None, budget=None) -> List[Dict]:

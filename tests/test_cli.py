@@ -195,6 +195,26 @@ def test_exit_codes(a2_path):
     assert code == 3
 
 
+def test_quiver_file_flags_must_be_booleans(tmp_path):
+    # a --quiver file whose flag is not a JSON boolean is a usage error (2),
+    # not a quiver read by the flag's truth
+    two_cycle = {
+        "vertices": ["0", "1"],
+        "arrows": [{"source": "0", "target": "1"}, {"source": "1", "target": "0"}],
+    }
+    for data, code, flag in (
+        ({**two_cycle, "nilpotent": False}, 0, None),
+        ({**two_cycle, "nilpotent": "false"}, 2, "nilpotent"),
+        ({"vertices": ["1"], "arrows": [], "jordan": "no"}, 2, "jordan"),
+    ):
+        path = tmp_path / "quiver.json"
+        path.write_text(json.dumps(data))
+        got, out, err = run(["verify", "orbit-stabilizer", "--quiver", str(path), "--q", "2", "--deg", "2"])
+        assert got == code, (data, err)
+        if flag:
+            assert out == "" and f'quiver JSON flag "{flag}" must be true or false' in err
+
+
 def test_consistency_error_exit_code(monkeypatch):
     # a broken internal invariant is neither a usage error (2) nor a budget
     # overrun (3)

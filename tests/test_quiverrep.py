@@ -55,6 +55,12 @@ from hallalg.quiverrep import (
 )
 
 
+def _n_points(Q, q, d):
+    """How many matrix tuples at d the orbit enumeration classifies."""
+    codes = _enumerate_points(Q, q, d, 2 ** 24)
+    return _space_size(Q, q, d) if codes is None else len(codes)
+
+
 def _matmul(A, B, p):
     """A B mod p for nested-tuple matrices; B has at least one row."""
     return tuple(
@@ -212,6 +218,30 @@ def test_quiver_json_reads_legacy_jordan_flag():
             Quiver.from_json(bad)
 
 
+_TWO_CYCLE_JSON = {
+    "vertices": ["0", "1"],
+    "arrows": [{"source": "0", "target": "1"}, {"source": "1", "target": "0"}],
+}
+
+
+def test_quiver_json_flags_must_be_booleans():
+    # a flag is read only as a JSON boolean: "nilpotent": "false" once gave
+    # the nilpotent two-cycle (3 classes at (1,1), q=2, not 4), and
+    # "jordan": "no" the Jordan quiver
+    Q = Quiver.from_json({**_TWO_CYCLE_JSON, "nilpotent": False})
+    assert not Q.nilpotent and len(enumerate_iso_classes(Q, 2, (1, 1))) == 4
+    one_vertex = {"vertices": ["1"], "arrows": []}
+    assert Quiver.from_json({**one_vertex, "jordan": False}) == Quiver(("1",))
+    for data, flag in (
+        ({**_TWO_CYCLE_JSON, "nilpotent": "false"}, "nilpotent"),
+        ({**_TWO_CYCLE_JSON, "nilpotent": 0}, "nilpotent"),
+        ({**one_vertex, "jordan": "no"}, "jordan"),
+        ({**one_vertex, "jordan": None}, "jordan"),
+    ):
+        with pytest.raises(ValueError, match=f'^quiver JSON flag "{flag}" must be true or false, got '):
+            Quiver.from_json(data)
+
+
 def test_loop_quiver_class_counts():
     # unflagged loops run the orbit enumeration: the one-loop quiver's
     # classes are the conjugacy classes of n x n matrices, q + ... + q^n
@@ -237,7 +267,7 @@ def test_loop_quiver_class_counts():
     ):
         classes = enumerate_iso_classes(Q, q, n)
         assert len(classes) == want, (Q, q, n)
-        assert sum(size for _, _, size in classes) == len(_enumerate_points(Q, q, (n,), 2 ** 24))
+        assert sum(size for _, _, size in classes) == _n_points(Q, q, (n,))
 
 
 def test_loop_quivers_pass_orbit_stabilizer():
@@ -446,9 +476,9 @@ def test_orbit_stabilizer_and_totals():
     for Q, q, d in configs:
         classes = enumerate_iso_classes(Q, q, d, force_generic=True)
         total = sum(size for _, _, size in classes)
-        assert total == len(_enumerate_points(Q, q, d, 2 ** 24))
+        assert total == _n_points(Q, q, d)
         if not quiver_has_cycle(Q):
-            assert total == _space_size(Q, q, d)
+            assert _enumerate_points(Q, q, d, 2 ** 24) is None
         for _, rep, size in classes:
             assert size * aut_count(rep) == gl_order_vec(d, q)
 
@@ -481,9 +511,7 @@ def test_enumerate_cyclic():
                     assert sorted(s for *_, s in closed) == sorted(
                         s for *_, s in generic
                     )
-                    assert sum(s for *_, s in closed) == len(
-                        _enumerate_points(Q, q, d, 2 ** 24)
-                    )
+                    assert sum(s for *_, s in closed) == _n_points(Q, q, d)
 
 
 def test_enumerate_cyclic_past_the_aut_scan_budget():
@@ -1331,20 +1359,36 @@ def test_int_dtype_is_the_narrowest_that_holds_the_bound():
         pick("layer", 2 ** 63, "sums", (1,), 2)
 
 
-@pytest.mark.parametrize("q, dtype", [(2, np.uint8), (3, np.uint8), (251, np.uint8), (257, np.int64)])
-def test_point_digits_are_uint8_up_to_q_256(q, dtype):
-    # A2 at (1,1) has one slot: its points are the digits of 0..q-1
-    points = _enumerate_points(Quiver.a2(), q, (1, 1), 2 ** 24)
-    assert points.dtype == dtype
-    assert np.array_equal(points, quiverrep._coeff_digit_block(0, q, 1, q, np.int64))
+def test_enumerate_points_keeps_codes_only_where_a_filter_drops_points():
+    # no nilpotency filter applies, so every tuple is a point and no code
+    # is kept: an unflagged quiver, an acyclic flagged one, and d = 0
+    acyclic = Quiver(("1", "2"), (("1", "2"),), nilpotent=True)
+    for Q, d in ((Quiver.kronecker(), (2, 2)), (acyclic, (2, 2)), (Quiver.cyclic(3), (0, 0, 0))):
+        assert _enumerate_points(Q, 2, d, 2 ** 24) is None
+    # the block-power test (a single cycle) and the per-point test (a cycle
+    # with a tail) keep the nilpotent tuples' base-q codes, increasing
+    for Q, d, count in ((Quiver.cyclic(3), (1, 1, 1), 7), (_NILPOTENT_TAIL, (2, 1, 1), 20)):
+        want = []
+        for M in _all_reps(Q, 2, d):
+            code = 0
+            for x in itertools.chain.from_iterable(itertools.chain.from_iterable(M.mats)):
+                code = code * 2 + x
+            want.append(code)
+        assert len(want) == count
+        assert _enumerate_points(Q, 2, d, 2 ** 24).tolist() == want
+    # past q = 256 a digit outgrows a byte: A2 at (1,1), q=257, has the
+    # zero map and one orbit of the 256 nonzero ones
+    classes = enumerate_iso_classes(Quiver.a2(), 257, (1, 1))
+    assert [size for *_, size in classes] == [1, 256]
+    for label, rep, _ in classes:
+        assert classify_rep(rep) == label
 
 
 def test_generic_jordan_in_sub_chunks_matches_closed_form(monkeypatch):
-    # 3^9 candidate 3x3 matrices in blocks of 1000 rows and nilpotency
-    # sub-chunks of 11, and 3^6 nilpotent points imaged 11 rows at a time:
-    # no block size divides its row count (test_enumerate_jordan_generic_
-    # crosscheck runs the same case at the default sizes)
-    monkeypatch.setattr(quiverrep, "_CHUNK", 1000)
+    # 3^9 candidate 3x3 matrices tested for nilpotency 11 codes at a time,
+    # and 3^6 nilpotent points imaged 11 at a time: no block size divides
+    # its point count (test_enumerate_jordan_generic_crosscheck runs the
+    # same case at the default sizes)
     monkeypatch.setattr(quiverrep, "_SUBCHUNK", 100)
     monkeypatch.setattr(quiverrep, "_CACHE", {})
     J = Quiver.jordan_quiver()
@@ -1377,8 +1421,8 @@ def test_unfiltered_enumeration_keeps_no_codes(monkeypatch):
 
 def test_orbit_enumeration_working_set_is_bounded():
     # loop(4) at q=2 scans 2^16 candidate matrices for 2^12 nilpotent
-    # points: a uint8 digit block and fixed sub-chunks peak near 2 MB, where
-    # int64 arrays over every candidate at once would take 40 MB
+    # points: digits expanded one sub-chunk of codes at a time peak near
+    # 0.6 MB, where int64 arrays over every candidate at once would take 40 MB
     J = Quiver.jordan_quiver()
     quiverrep._orbit_seeds(J, 2, (2,), 2 ** 24)
     tracemalloc.start()
@@ -1391,10 +1435,11 @@ def test_orbit_enumeration_working_set_is_bounded():
 
 
 def test_orbit_labelling_keeps_one_permutation_per_generator():
-    # Kronecker (3, 3) at q=2 has 2^18 points: 4.5 MB of uint8 digits and
-    # 1 MB per int32 generator permutation. Two generators per vertex at q=2
-    # (1 + E_01 and the shift) peak near 15 MB; one permutation per
-    # elementary transvection, six per vertex, passes 18 MB
+    # Kronecker (3, 3) at q=2 has 2^18 points and 1 MB per int32 generator
+    # permutation. Two generators per vertex at q=2 (1 + E_01 and the
+    # shift), with digits expanded one block at a time, peak near 10 MB; a
+    # kept uint8 digit array (4.5 MB) passes 14 MB, and one permutation per
+    # elementary transvection, six per vertex, 18 MB
     K = Quiver.kronecker()
     quiverrep._orbit_seeds(K, 2, (1, 1), 2 ** 24)
     tracemalloc.start()
@@ -1403,7 +1448,7 @@ def test_orbit_labelling_keeps_one_permutation_per_generator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2 ** 20
+    assert peak < 12 * 2 ** 20
 
 
 def _brute_invertible(basis, dims, q):
