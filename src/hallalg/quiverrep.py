@@ -20,7 +20,9 @@ per rep, and classifies each distinct sub and quotient of the pass
 once; submodule_type_table is the pass of one. numpy is imported on the
 first call into one of these kernels (the module global `np` starts as a
 stand-in), so importing this module, and every classical path, never
-loads it.
+loads it. Nor does a dimension vector on which no arrow acts
+(_no_arrow_acts): its one class is the zero tuple, and its submodule
+tables are products of Gaussian binomials (_semisimple_tables).
 
 Each quiver's isomorphism classes come from one kind, which _kind picks:
 the chain kind (_Chains) on a nilpotent single cycle, whose labels, dim
@@ -213,19 +215,19 @@ class Quiver(_Frozen):
     @classmethod
     def from_json(cls, data: dict) -> "Quiver":
         try:
-            Q = cls(
-                tuple(str(v) for v in data["vertices"]),
-                tuple(
-                    (str(a["source"]), str(a["target"]))
-                    for a in data.get("arrows", ())
-                ),
-                data.get("nilpotent", False),
-            )
+            vertices = data["vertices"]
+            arrows = [(a["source"], a["target"]) for a in data.get("arrows", ())]
         except (KeyError, TypeError) as exc:
             raise ValueError(
                 'quiver JSON needs {"vertices": [...], "arrows": '
                 '[{"source": ..., "target": ...}, ...]}'
             ) from exc
+        if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+            raise ValueError(f'quiver JSON "vertices" must be a list of strings, got {vertices!r}')
+        for s, t in arrows:
+            if not (isinstance(s, str) and isinstance(t, str)):
+                raise ValueError(f'quiver JSON arrow "source" and "target" must be strings, got {s!r} -> {t!r}')
+        Q = cls(vertices, arrows, data.get("nilpotent", False))
         for flag in ("nilpotent", "jordan"):
             if not isinstance(data.get(flag, False), bool):
                 raise ValueError(f'quiver JSON flag "{flag}" must be true or false, got {data[flag]!r}')
@@ -447,20 +449,25 @@ class QuiverRep(_Frozen):
         return sum(self.dims)
 
 
+def _zero_mats(Q: Quiver, d: Tuple[int, ...]) -> Tuple[Mat, ...]:
+    """The zero matrix of each arrow at dimension vector d."""
+    return tuple(tuple((0,) * d[s] for _ in range(d[t])) for s, t in Q.effective_arrows())
+
+
+def _no_arrow_acts(Q: Quiver, d: Tuple[int, ...]) -> bool:
+    """True when every arrow has a zero-dimensional end at d, so the zero
+    tuple is the one representation there: a sum of simples, fixed by GL_d."""
+    return not any(d[s] * d[t] for s, t in Q.effective_arrows())
+
+
 def zero_rep(Q: Quiver, q: int) -> QuiverRep:
     dims = (0,) * Q.n
-    mats = tuple(() for _ in Q.effective_arrows())
-    return QuiverRep(Q, q, dims, mats)
+    return QuiverRep(Q, q, dims, _zero_mats(Q, dims))
 
 
 def simple_rep(Q: Quiver, q: int, vertex: int) -> QuiverRep:
     dims = tuple(1 if i == vertex else 0 for i in range(Q.n))
-    mats = []
-    for s, t in Q.effective_arrows():
-        rows = dims[t]
-        cols = dims[s]
-        mats.append(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-    return QuiverRep(Q, q, dims, tuple(mats))
+    return QuiverRep(Q, q, dims, _zero_mats(Q, dims))
 
 
 def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
@@ -1222,9 +1229,14 @@ class _Orbits:
     force_generic: the classes are the GL_d orbits of the enumerated points
     (_orbit_seeds), each labelled (d, mats) by its lex-least point. classify
     looks a representation's base-q point code up among those points, so it
-    needs what the enumeration needs."""
+    needs what the enumeration needs. Where no arrow acts, the one point,
+    the zero tuple, is the one class, of orbit size 1, with no codes and no
+    owner to look up."""
 
     def classes(self, Q: Quiver, q: int, d: Tuple[int, ...], budget: int):
+        if _no_arrow_acts(Q, d):
+            mats = _zero_mats(Q, d)
+            return 1, ([((d, mats), QuiverRep(Q, q, d, mats), 1)], None, None)
         codes, seeds, sizes, owner = _orbit_seeds(Q, q, d, budget)
         shapes = _arrow_shapes(Q, d)
         nslots = sum(r * c for r, c in shapes)
@@ -1240,6 +1252,8 @@ class _Orbits:
         needed = _space_size(Q, q, M.dims)
         _require_budget("classify_rep", needed, budget, M.dims, q)
         classes, codes, owner = _iso_classes(Q, q, M.dims, budget)
+        if owner is None:  # the one point where no arrow acts
+            return needed, classes[0][0]
         code = 0  # row-major over the arrows in order, as the points' codes
         for row in itertools.chain.from_iterable(M.mats):
             for x in row:
@@ -1295,7 +1309,8 @@ def enumerate_iso_classes(
 def _iso_classes(Q: Quiver, q: int, d: Tuple[int, ...], budget: Optional[int], force_generic: bool = False):
     """enumerate_iso_classes's cached value: (classes, point codes, class
     index of each point), as _orbit_seeds gives them; codes is None when
-    every tuple is a point, and both are None for the chain kind."""
+    every tuple is a point, and both are None for the chain kind and for
+    the one point of a dimension vector on which no arrow acts."""
     kind = _kind(Q, force_generic)
     # keyed on the kind: where no closed form applies, force_generic runs
     # the same enumeration as a plain call
@@ -1441,13 +1456,17 @@ def submodule_type_tables(
     does; so a table's budget is its tuple count, then its rep's own
     classify_rep need, the order a cold build meets them, and a pass that
     one of its reps would refuse refuses with that rep's BudgetError. A
-    kept table is checked against both, and makes no classify_rep call."""
+    kept table is checked against both, and makes no classify_rep call.
+    Where no arrow acts, _semisimple_tables builds the table in closed
+    form instead of the kernel, with the same budget checks, classify_rep
+    calls and key order."""
     budget = DEFAULT_BUDGET if budget is None else budget
     if any((R.quiver, R.q, R.dims) != (reps[0].quiver, reps[0].q, reps[0].dims) for R in reps[1:]):
         raise ValueError("submodule_type_tables needs reps of one quiver, q and dimension vector")
     cold = [R for R in dict.fromkeys(reps) if ("submodule_type_table", R) not in _CACHE]
     if cold:
-        for R, hit in zip(cold, _submodule_tables(cold, budget)):
+        build = _semisimple_tables if _no_arrow_acts(reps[0].quiver, reps[0].dims) else _submodule_tables
+        for R, hit in zip(cold, build(cold, budget)):
             _CACHE["submodule_type_table", R] = hit
     tables = []
     for R in reps:
@@ -1458,14 +1477,39 @@ def submodule_type_tables(
     return tables
 
 
+def _subspace_tuples(reps: List[QuiverRep], budget: int) -> int:
+    """How many subspace tuples, one subspace per vertex, the reps' table
+    scans, checked against the budget."""
+    p, dims = reps[0].q, reps[0].dims
+    total = math.prod(sum(subspace_count(d, k, p) for k in range(d + 1)) for d in dims)
+    _require_budget("submodule_type_table", total, budget, dims, p, "subspace tuples")
+    return total
+
+
+def _semisimple_tables(reps: List[QuiverRep], budget: int):
+    """_submodule_tables in closed form where no arrow acts (_no_arrow_acts),
+    with no numpy and no subspace store. Every subspace tuple is then
+    stable, with quotient and sub the zero tuples at d - k and k, k the
+    sub's dimension vector, so the entry of k is prod_v [d_v choose k_v]_q.
+    The k run in lexicographic order, the order the kernel's tuples first
+    meet them, each classifying its quotient, then its sub, as the kernel
+    does; k = 0's quotient is R itself. The reps, all the zero tuple at d,
+    share one table, and the budget still counts every subspace tuple."""
+    Q, p, dims = reps[0].quiver, reps[0].q, reps[0].dims
+    total_tuples = _subspace_tuples(reps, budget)
+    table: Dict[Tuple[object, object], int] = {}
+    for k in itertools.product(*(range(d + 1) for d in dims)):
+        quo = tuple(d - x for d, x in zip(dims, k))
+        pair = tuple(classify_rep(_unvalidated_rep(Q, p, e, _zero_mats(Q, e)), budget=budget) for e in (quo, k))
+        table[pair] = math.prod(subspace_count(d, x, p) for d, x in zip(dims, k))
+    return [(total_tuples, table) for _ in reps]
+
+
 def _submodule_tables(reps: List[QuiverRep], budget: int):
     """One kernel pass: for each rep, (subspace tuples scanned, its
     submodule_type_table)."""
     Q, p, dims = reps[0].quiver, reps[0].q, reps[0].dims
-    total_tuples = 1
-    for d in dims:
-        total_tuples *= sum(subspace_count(d, k, p) for k in range(d + 1))
-    _require_budget("submodule_type_table", total_tuples, budget, dims, p, "subspace tuples")
+    total_tuples = _subspace_tuples(reps, budget)
     eff = Q.effective_arrows()
     dtype = _submodule_dtype(dims, p)
     # every array below has at most `step` rows of at most max(d)^2 entries

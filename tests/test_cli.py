@@ -215,6 +215,20 @@ def test_quiver_file_flags_must_be_booleans(tmp_path):
             assert out == "" and f'quiver JSON flag "{flag}" must be true or false' in err
 
 
+def test_quiver_file_structure_must_be_strings(tmp_path):
+    # a --quiver file whose vertices are not a list of strings, or whose
+    # arrow ends are not strings, is a usage error (2), not a quiver read
+    # from their str()
+    for data, what in (
+        ({"vertices": "12", "arrows": [{"source": 1, "target": 2}]}, '"vertices" must be a list of strings'),
+        ({"vertices": ["1", "2"], "arrows": [{"source": 1, "target": 2}]}, 'arrow "source" and "target"'),
+    ):
+        path = tmp_path / "quiver.json"
+        path.write_text(json.dumps(data))
+        got, out, err = run(["verify", "orbit-stabilizer", "--quiver", str(path), "--q", "2", "--deg", "2"])
+        assert got == 2 and out == "" and what in err, (data, err)
+
+
 def test_consistency_error_exit_code(monkeypatch):
     # a broken internal invariant is neither a usage error (2) nor a budget
     # overrun (3)
@@ -305,7 +319,9 @@ print(json.dumps({"new": new, "out": outs}))
 def test_classical_requests_leave_numpy_unloaded(a2_path):
     # numpy loads on the first call into a quiverrep kernel and csv on the
     # first CSV output, so starting the CLI loads neither, and no classical
-    # request of the benchmark's cli mix loads numpy, dataclasses or inspect
+    # request of the benchmark's cli mix loads numpy, dataclasses or inspect;
+    # nor does the A1 double, whose one-point classes and Gaussian-binomial
+    # tables are closed forms
     requests = [
         ("hallpoly-latex", ["hallpoly", "[3,2,1]", "[2,1]", "[2,1]", "--format", "latex"]),
         ("mult-classical", ["mult", "[1]*[2,1]*[1]", "--backend", "classical"]),
@@ -314,6 +330,7 @@ def test_classical_requests_leave_numpy_unloaded(a2_path):
         ("antipode-classical-csv",
          ["antipode", "[2,2]", "--backend", "classical", "--format", "csv"]),
         ("verify-green", ["verify", "green", "--deg", "4"]),
+        ("verify-double-a1", ["verify", "double-a1", "--q", "2"]),
         ("mult-quiver", ["mult", "c0@(1,0)*c0@(0,1)*c0@(1,0)", "--backend", "quiver",
                          "--quiver", a2_path, "--q", "3"]),
     ]
@@ -331,7 +348,7 @@ def test_classical_requests_leave_numpy_unloaded(a2_path):
     assert new == {
         "import": [], "hallpoly-latex": [], "mult-classical": [],
         "comult-classical-latex": [], "antipode-classical-csv": ["csv"],
-        "verify-green": [],
+        "verify-green": [], "verify-double-a1": [],
     }
     for name, _ in requests:
         assert got["out"][name] == [0, (GOLDENS / f"{name}.out").read_text()], name

@@ -242,6 +242,21 @@ def test_quiver_json_flags_must_be_booleans():
             Quiver.from_json(data)
 
 
+def test_quiver_json_structure_must_be_strings():
+    # vertices and arrow ends are read only as JSON strings: a vertex
+    # string "12" once loaded as the two vertices "1" and "2", and integer
+    # arrow ends as their decimal names
+    for data, message in (
+        ({"vertices": "12", "arrows": [{"source": 1, "target": 2}]}, '"vertices" must be a list of strings'),
+        ({"vertices": ["1", 2]}, '"vertices" must be a list of strings'),
+        ({"vertices": ["1", "2"], "arrows": [{"source": 1, "target": 2}]}, 'arrow "source" and "target"'),
+        ({"vertices": ["1", "2"], "arrows": [{"source": "1", "target": None}]}, 'arrow "source" and "target"'),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Quiver.from_json(data)
+    assert Quiver.from_json({"vertices": ["1", "2"], "arrows": [{"source": "1", "target": "2"}]}) == Quiver.a2()
+
+
 def test_loop_quiver_class_counts():
     # unflagged loops run the orbit enumeration: the one-loop quiver's
     # classes are the conjugacy classes of n x n matrices, q + ... + q^n
@@ -953,6 +968,106 @@ def test_generic_enumeration_shared_across_flags(monkeypatch):
     assert len(calls) == 2 and generic != closed
     enumerate_iso_classes(J, 2, 3, force_generic=True)
     assert len(calls) == 2
+
+
+_ARROWLESS_PAIR = Quiver(("1", "2"))
+
+
+def _no_arrow_cases():
+    """(quiver, q, d) for every d on which no arrow acts, total at most 4
+    (3 at q >= 3), on A1, A2, Kronecker, A3, cyclic(3), an arrowless pair,
+    and the Jordan quiver at (0,)."""
+    A3 = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3")))
+    cases = [(Quiver.jordan_quiver(), q, (0,)) for q in (2, 3, 5)]
+    for Q in (Quiver(("1",)), Quiver.a2(), Quiver.kronecker(), A3, Quiver.cyclic(3), _ARROWLESS_PAIR):
+        for q in (2, 3, 5):
+            top = 4 if q == 2 else 3
+            for d in itertools.product(range(top + 1), repeat=Q.n):
+                if sum(d) <= top and all(d[s] * d[t] == 0 for s, t in Q.effective_arrows()):
+                    cases.append((Q, q, d))
+    return cases
+
+
+def test_semisimple_tables_match_the_kernel(monkeypatch):
+    # where no arrow acts, the closed-form table is the kernel's: the same
+    # tuple count, entries, key order and classify_rep calls
+    classify = quiverrep.classify_rep
+    calls = []
+
+    def counted(M, budget=None):
+        calls.append(M)
+        return classify(M, budget)
+
+    monkeypatch.setattr(quiverrep, "classify_rep", counted)
+    cases = _no_arrow_cases()
+    assert len(cases) == 175
+    for Q, q, d in cases:
+        assert quiverrep._no_arrow_acts(Q, d)
+        R = QuiverRep(Q, q, d, quiverrep._zero_mats(Q, d))
+        built = []
+        for build in (quiverrep._semisimple_tables, quiverrep._submodule_tables):
+            monkeypatch.setattr(quiverrep, "_CACHE", {})
+            calls.clear()
+            (tuples, table), = build([R], 2 ** 24)
+            built.append((tuples, list(table.items()), list(calls), quiverrep._CACHE))
+        assert built[0] == built[1], (Q, q, d)
+        assert built[0][2][0] == R
+    assert not quiverrep._no_arrow_acts(Quiver.a2(), (1, 1))
+
+
+def test_one_point_classes_match_orbit_seeds(monkeypatch):
+    # where no arrow acts, the orbit kind's one class is the one seed the
+    # enumeration finds, of orbit size 1, and classify_rep returns its label
+    # (chain quivers classify by their own kind)
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    for Q, q, d in _no_arrow_cases():
+        codes, seeds, sizes, owner = quiverrep._orbit_seeds(Q, q, d, 2 ** 24)
+        assert codes is None and seeds.tolist() == [0] and sizes.tolist() == [1] and owner.tolist() == [0]
+        digits = quiverrep._coeff_digit_block(seeds, 0, q, np.int64)
+        label = (d, quiverrep._point_mats(digits[0], quiverrep._arrow_shapes(Q, d)))
+        classes, codes, owner = quiverrep._iso_classes(Q, q, d, None, force_generic=True)
+        assert classes == [(label, QuiverRep(Q, q, d, label[1]), 1)] and codes is owner is None
+        if quiverrep._kind(Q) is quiverrep._ORBITS:
+            assert classify_rep(classes[0][1]) == label
+            assert quiverrep._CACHE["classify_rep", classes[0][1]] == (1, label)
+
+
+def test_semisimple_table_budget():
+    # A1 at (4,), q=2, has 1 + 15 + 35 + 15 + 1 subspace tuples: the closed
+    # form still charges them all, cold and warm
+    R = QuiverRep(Quiver(("1",)), 2, (4,), ())
+    message = "submodule_type_table at dimension vector (4,), q=2 needs 67 subspace tuples, budget is 50"
+    quiverrep._CACHE.clear()
+    with pytest.raises(BudgetError) as cold:
+        submodule_type_table(R, budget=50)
+    assert str(cold.value) == message
+    assert sum(submodule_type_table(R).values()) == 67
+    with pytest.raises(BudgetError) as warm:
+        submodule_type_table(R, budget=50)
+    assert str(warm.value) == message
+
+
+def test_semisimple_table_past_the_subspace_store(monkeypatch):
+    # S_2^7 on A3 at q=3 has 2,052,656 subspaces of F_3^7; its table is the
+    # eight Gaussian binomials [7 k]_3, built without the subspace store
+    builds = []
+    store = quiverrep._vertex_subspaces
+
+    def counted(*args):
+        builds.append(args)
+        return store(*args)
+
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    monkeypatch.setattr(quiverrep, "_vertex_subspaces", counted)
+    A3 = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3")))
+    R = QuiverRep(A3, 3, (0, 7, 0), (((),) * 7, ()))
+
+    def label(m):
+        return ((0, m, 0), (((),) * m, ()))
+
+    want = [((label(7 - k), label(k)), int(gauss_binomial(7, k).evaluate(3))) for k in range(8)]
+    assert list(submodule_type_table(R).items()) == want
+    assert sum(n for _, n in want) == 2052656 and not builds
 
 
 def test_submodule_table_past_int64():
