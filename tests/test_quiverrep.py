@@ -970,16 +970,13 @@ def test_generic_enumeration_shared_across_flags(monkeypatch):
     assert len(calls) == 2
 
 
-_ARROWLESS_PAIR = Quiver(("1", "2"))
-
-
 def _no_arrow_cases():
     """(quiver, q, d) for every d on which no arrow acts, total at most 4
     (3 at q >= 3), on A1, A2, Kronecker, A3, cyclic(3), an arrowless pair,
     and the Jordan quiver at (0,)."""
     A3 = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3")))
     cases = [(Quiver.jordan_quiver(), q, (0,)) for q in (2, 3, 5)]
-    for Q in (Quiver(("1",)), Quiver.a2(), Quiver.kronecker(), A3, Quiver.cyclic(3), _ARROWLESS_PAIR):
+    for Q in (Quiver(("1",)), Quiver.a2(), Quiver.kronecker(), A3, Quiver.cyclic(3), Quiver(("1", "2"))):
         for q in (2, 3, 5):
             top = 4 if q == 2 else 3
             for d in itertools.product(range(top + 1), repeat=Q.n):
@@ -1032,12 +1029,12 @@ def test_one_point_classes_match_orbit_seeds(monkeypatch):
             assert quiverrep._CACHE["classify_rep", classes[0][1]] == (1, label)
 
 
-def test_semisimple_table_budget():
+def test_semisimple_table_budget(monkeypatch):
     # A1 at (4,), q=2, has 1 + 15 + 35 + 15 + 1 subspace tuples: the closed
     # form still charges them all, cold and warm
     R = QuiverRep(Quiver(("1",)), 2, (4,), ())
     message = "submodule_type_table at dimension vector (4,), q=2 needs 67 subspace tuples, budget is 50"
-    quiverrep._CACHE.clear()
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
     with pytest.raises(BudgetError) as cold:
         submodule_type_table(R, budget=50)
     assert str(cold.value) == message
