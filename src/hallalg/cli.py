@@ -11,7 +11,7 @@ import argparse
 import io
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .classical import hall_poly
 from .engine import (
@@ -26,12 +26,14 @@ from .exactnum import BudgetError, ConsistencyError, is_prime, LaurentPoly
 from .partitions import parse_partition, render_partition
 from .quiverrep import count_submodules, jordan_rep, Quiver
 from .serialize import (
+    ELEMENT_FIELDS,
     element_records,
     latex_element,
     latex_tensor,
     render_element,
     render_scalar,
     render_tensor,
+    TENSOR_FIELDS,
     tensor_records,
 )
 from .verify import all_passed, run_suite, SUITE_NAMES
@@ -168,7 +170,7 @@ def _load_backend(args):
 # ---------------------------------------------------------------------------
 
 
-def _csv_text(header: List[str], rows: List[List[str]]) -> str:
+def _csv_text(header: Sequence[str], rows: List[List[str]]) -> str:
     import csv  # only CSV output needs it, so importing the CLI skips it
 
     buf = io.StringIO()
@@ -277,27 +279,11 @@ def cmd_element_op(args) -> Tuple[str, bool]:
         }
         return json.dumps(data, indent=2) + "\n", False
     if args.format == "csv":
-        if is_tensor:
-            recs = tensor_records(result)
-            header = ["left_label", "left_k_offset", "right_label", "right_k_offset", "coeff"]
-            rows = [
-                [
-                    r["left_label"],
-                    ";".join(str(v) for v in r["left_k_offset"]),
-                    r["right_label"],
-                    ";".join(str(v) for v in r["right_k_offset"]),
-                    r["coeff"],
-                ]
-                for r in recs
-            ]
-        else:
-            recs = element_records(result)
-            header = ["label", "k_offset", "coeff"]
-            rows = [
-                [r["label"], ";".join(str(v) for v in r["k_offset"]), r["coeff"]]
-                for r in recs
-            ]
-        return _csv_text(header, rows), False
+        fields = TENSOR_FIELDS if is_tensor else ELEMENT_FIELDS
+        recs = tensor_records(result) if is_tensor else element_records(result)
+        # a k offset is one cell, its entries joined by ';'
+        rows = [[";".join(map(str, v)) if isinstance(v, list) else v for v in r.values()] for r in recs]
+        return _csv_text(fields, rows), False
     body = latex_tensor(result) if is_tensor else latex_element(result)
     return f"${body}$\n", False
 

@@ -29,19 +29,16 @@ _MR_LIMIT = 3317044064679887385961981
 
 @functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below _MR_LIMIT, trial division above."""
+    """Deterministic Miller-Rabin. n >= _MR_LIMIT raises ValueError: past it
+    the 13 bases no longer decide primality, and trial division would not
+    finish."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
-        d = _MR_BASES[-1] + 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -30,7 +30,9 @@ End M and |Aut M| are closed forms in the chains, and the orbit kind
 (_Orbits) on every other quiver. aut_count's exhaustive scan is
 independent of both; it tests one endomorphism per F_q^x line, since a
 nonzero multiple of an automorphism is one, and its budget still counts
-all q^dim End M points.
+all q^dim End M points. It and is_isomorphic take each vertex block's
+determinant by one batched Laplace expansion along the rows
+(_batch_dets_mod), and refuse a block past 8x8 with a BudgetError.
 aut_count, enumerate_iso_classes and classify_rep keep their results
 through one helper, _cached, which checks the budget on every call
 against the count the cold call needed. submodule_type_tables keeps each
@@ -555,7 +557,7 @@ def _require_budget(layer: str, needed: int, budget: int, dims, q: int, unit: st
 _CACHE: Dict[Tuple[str, object], Tuple[int, object]] = {}
 
 
-def _cached(layer: str, key, budget: Optional[int], dims, q: int, compute, unit: str = "points"):
+def _cached(layer: str, key, budget: Optional[int], dims, q: int, compute):
     """compute(budget) -> (count, value), run once per (layer, key) and
     kept; compute checks the budget before it does the work. Every call,
     warm or cold, checks the budget against that count, so a warm cache
@@ -564,7 +566,7 @@ def _cached(layer: str, key, budget: Optional[int], dims, q: int, compute, unit:
     hit = _CACHE.get((layer, key))
     if hit is None:
         hit = _CACHE[layer, key] = compute(budget)
-    _require_budget(layer, hit[0], budget, dims, q, unit)
+    _require_budget(layer, hit[0], budget, dims, q)
     return hit[1]
 
 
@@ -581,70 +583,61 @@ def _int_dtype(layer: str, worst: int, what: str, dims, q: int):
     )
 
 
-def _perm_signs(n: int) -> List[Tuple[Tuple[int, ...], int]]:
-    out = []
-    for perm in itertools.permutations(range(n)):
-        inv = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if perm[a] > perm[b]
-        )
-        out.append((perm, -1 if inv % 2 else 1))
-    return out
+_INT64_MAX = 2 ** 63 - 1
+_MAX_BLOCK = 8  # past it the two widest levels of minors outgrow twice the block
 
 
-def _det_worst(n: int, p: int) -> Tuple[bool, int]:
-    """(closed, worst) for _batch_dets_mod on n x n blocks with entries in
-    [0, e], e = 2(p-1): whether the closed formula for n <= 4 stays inside
-    int64, and the largest magnitude the chosen path reaches. The closed
-    formulas reduce once at the end (n=3 cofactor: 3e^3; n=4 Laplace along
-    two rows: 6e^4); the permutation path reduces every product ((p-1)e)."""
+@functools.cache
+def _det_plan(n: int, p: int) -> List[Tuple[bool, int, List[List[List[Tuple[int, int]]]]]]:
+    """Levels 2..n of _batch_dets_mod's expansion, each (reduce, bound,
+    minors): whether level k-1 is first reduced mod p, to [0, p-1], the
+    largest magnitude level k then reaches, and for each k-set S of columns
+    in combinations order the minor on rows 0..k-1 and columns S along row
+    k-1, as its positive terms, then its negative ones: (index of entry
+    (k-1, c), index of the minor on S - {c} in level k-1). Entries reach
+    e = 2(p-1), level 2 e^2, and each later level k at most k*e times the
+    level before; a level is reduced only where the next would pass int64,
+    so a block whose n!/2 e^n fits is reduced once, at the end."""
     e = 2 * (p - 1)
-    closed = {1: e, 2: e * e, 3: 3 * e ** 3, 4: 6 * e ** 4}.get(n)
-    if closed is not None and closed <= np.iinfo(np.int64).max:
-        return True, closed
-    return False, (p - 1) * e
+    prev, bound, levels = {(c,): c for c in range(n)}, e, []
+    for k in range(2, n + 1):
+        step = e * (k if k > 2 else 1)
+        reduce = step * bound > _INT64_MAX
+        bound = step * (p - 1 if reduce else bound)
+        sets = list(itertools.combinations(range(n), k))
+        levels.append((reduce, bound, [
+            [[((k - 1) * n + s[j], prev[s[:j] + s[j + 1 :]]) for j in range(k) if (k - 1 + j) % 2 == odd]
+             for odd in (0, 1)]
+            for s in sets
+        ]))
+        prev = {s: i for i, s in enumerate(sets)}
+    return levels
 
 
-_LAPLACE_PAIRS = ((0, 1, 1), (0, 2, -1), (0, 3, 1), (1, 2, 1), (1, 3, -1), (2, 3, 1))
+def _det_worst(n: int, p: int) -> int:
+    """The largest magnitude _batch_dets_mod reaches on n x n blocks."""
+    return max([2 * (p - 1)] + [bound for _, bound, _ in _det_plan(n, p)])
 
 
 def _batch_dets_mod(a: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Determinants mod p of a batch of n x n blocks (1 <= n <= 6), given as an
-    (n*n, N) array of row-major entries in [0, 2(p-1)], in a dtype that holds
-    _det_worst(n, p)."""
-    closed, _ = _det_worst(n, p)
-    if closed and n == 1:
-        return a[0] % p
-    if closed and n == 2:
-        return (a[0] * a[3] - a[1] * a[2]) % p
-    if closed and n == 3:
-        return (
-            a[0] * (a[4] * a[8] - a[5] * a[7])
-            - a[1] * (a[3] * a[8] - a[5] * a[6])
-            + a[2] * (a[3] * a[7] - a[4] * a[6])
-        ) % p
-    if closed:
-        # Laplace along the first two rows: minor of columns (i, j) in rows
-        # 0-1 times the complementary minor in rows 2-3
-        total = None
-        for i, j, sign in _LAPLACE_PAIRS:
-            k, l = (c for c in range(4) if c not in (i, j))
-            top = a[i] * a[4 + j] - a[j] * a[4 + i]
-            bot = a[8 + k] * a[12 + l] - a[8 + l] * a[12 + k]
-            term = top * bot if sign > 0 else -(top * bot)
-            total = term if total is None else total + term
-        return total % p
-    if n > 6:  # pragma: no cover
-        raise BudgetError("batched determinants limited to blocks of size <= 6")
-    total = np.zeros(a.shape[1], dtype=a.dtype)
-    for perm, sign in _perm_signs(n):
-        term = a[perm[0]] % p
-        for i in range(1, n):
-            term = (term * a[i * n + perm[i]]) % p
-        total = (total + sign * term) % p
-    return total
+    """Determinants mod p of a batch of n x n blocks (n <= _MAX_BLOCK), given
+    as an (n*n, N) array of row-major entries in [0, 2(p-1)], in a dtype
+    that holds _det_worst(n, p): Laplace expansion along rows 0, 1, ... in
+    turn, level k the minors on the first k rows."""
+    minors = a[:n]
+    for reduce, _, level in _det_plan(n, p):
+        if reduce:
+            minors = [m % p for m in minors]
+        nxt = []
+        for ((i, j), *plus), minus in level:
+            total = a[i] * minors[j]
+            for i, j in plus:
+                total += a[i] * minors[j]
+            for i, j in minus:
+                total -= a[i] * minors[j]
+            nxt.append(total)
+        minors = nxt
+    return minors[0] % p
 
 
 _CHUNK = 1 << 17
@@ -689,7 +682,13 @@ def _count_vertexwise_invertible(
     basis[j] + span(basis[j+1:]). Leads are peeled this way while the rest
     spans more than one block; the rest, span(basis[j:]), is scanned whole.
     The scan stays exhaustive, testing a point of every F_p^x line by its
-    determinants, and the budget still counts all p^nb combinations."""
+    determinants (_batch_dets_mod), and the budget still counts all p^nb
+    combinations. A vertex block past _MAX_BLOCK x _MAX_BLOCK is refused
+    before the budget check."""
+    n = max(dims)
+    if n > _MAX_BLOCK:
+        raise BudgetError(f"{layer} at dimension vector {tuple(dims)}, q={p}: a {n}x{n} vertex block "
+                          f"is past the {_MAX_BLOCK}x{_MAX_BLOCK} limit of the batched determinant")
     nb = len(basis)
     _require_budget(layer, p ** nb, budget, dims, p)
     # digits (< p) times basis entries (< p), summed over at most nh terms
@@ -700,7 +699,7 @@ def _count_vertexwise_invertible(
     for v, n in enumerate(dims):
         if n == 0:
             continue
-        dtype = _int_dtype(layer, _det_worst(n, p)[1], f"{n}x{n} determinant terms", dims, p)
+        dtype = _int_dtype(layer, _det_worst(n, p), f"{n}x{n} determinant terms", dims, p)
         flat = np.array(
             [[x for row in b[v] for x in row] for b in basis], dtype=np.int64
         ).reshape(nb, n * n)

@@ -58,21 +58,16 @@ def _term_str(b, label, off: Tuple[int, ...]) -> str:
     return s
 
 
+def _scaled_term(c, term: str) -> str:
+    """c times a rendered term; c times the unit term is the bare scalar."""
+    return render_scalar(c) if term == "1" else _coeff_prefix(c) + term
+
+
 def render_element(x) -> str:
     if x.is_zero():
         return "0"
     b = x.backend
-    bits = []
-    for (label, off), c in x.sorted_terms():
-        prefix = _coeff_prefix(c)
-        term = _term_str(b, label, off)
-        if term == "1" and prefix not in ("", "-"):
-            bits.append(prefix[1:-1] if prefix.startswith("(") else prefix)
-        elif term == "1":
-            bits.append(prefix + "1")
-        else:
-            bits.append(prefix + term)
-    return " + ".join(bits)
+    return " + ".join(_scaled_term(c, _term_str(b, label, off)) for (label, off), c in x.sorted_terms())
 
 
 def render_tensor(t) -> str:
@@ -108,7 +103,6 @@ def render_double(b, d: Dict) -> str:
     bits = []
     zl = b.zero_label()
     for (ylab, off, xlab), c in sorted_double_items(b, d):
-        prefix = _coeff_prefix(c)
         parts = []
         if ylab != zl:
             parts.append(_label_str(b, ylab) + "+")
@@ -116,11 +110,7 @@ def render_double(b, d: Dict) -> str:
             parts.append(f"k{_offset_str(off)}")
         if xlab != zl:
             parts.append(_label_str(b, xlab) + "-")
-        body = " ".join(parts) if parts else "1"
-        if body == "1" and prefix not in ("", "-"):
-            bits.append(prefix[1:-1] if prefix.startswith("(") else prefix)
-        else:
-            bits.append(prefix + body)
+        bits.append(_scaled_term(c, " ".join(parts) if parts else "1"))
     return " + ".join(bits)
 
 
@@ -129,14 +119,15 @@ def render_double(b, d: Dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+# the fields of one record, in the order JSON and CSV output list them
+ELEMENT_FIELDS = ("label", "k_offset", "coeff")
+TENSOR_FIELDS = ("left_label", "left_k_offset", "right_label", "right_k_offset", "coeff")
+
+
 def element_records(x) -> List[Dict]:
     b = x.backend
     return [
-        {
-            "label": b.label_string(label),
-            "k_offset": list(off),
-            "coeff": render_scalar(c),
-        }
+        dict(zip(ELEMENT_FIELDS, (b.label_string(label), list(off), render_scalar(c))))
         for (label, off), c in x.sorted_terms()
     ]
 
@@ -144,13 +135,7 @@ def element_records(x) -> List[Dict]:
 def tensor_records(t) -> List[Dict]:
     b = t.backend
     return [
-        {
-            "left_label": b.label_string(ll),
-            "left_k_offset": list(lo),
-            "right_label": b.label_string(rl),
-            "right_k_offset": list(ro),
-            "coeff": render_scalar(c),
-        }
+        dict(zip(TENSOR_FIELDS, (b.label_string(ll), list(lo), b.label_string(rl), list(ro), render_scalar(c))))
         for ((ll, lo), (rl, ro)), c in t.sorted_terms()
     ]
 

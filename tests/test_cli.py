@@ -188,6 +188,9 @@ def test_exit_codes(a2_path):
     assert run(["mult", "--backend", "quiver", "--quiver", a2_path, "--q", "4", "c0@(1,0)"])[0] == 2
     assert run(["mult", "--backend", "quiver", "--quiver", a2_path, "--q", "2", "c9@(1,0)"])[0] == 2
     assert run(["mult", "--backend", "classical", "[1]*"])[0] == 2
+    # the least prime past the Miller-Rabin limit is refused, not trial-divided
+    code, _, err = run(["verify", "double-a1", "--q", "3317044064679887385962123"])
+    assert code == 2 and "only below 3317044064679887385961981" in err
     code = run(
         ["verify", "orbit-stabilizer", "--quiver", a2_path, "--q", "2",
          "--deg", "7", "--budget", "10"]

@@ -580,14 +580,16 @@ def test_is_prime():
         assert not is_prime(n), n
     assert is_prime(2 ** 61 - 1) and is_prime(2 ** 63 + 29)
     assert not is_prime(2 ** 63 + 27)
-    # past the Miller-Rabin limit, trial division finds a small factor
-    assert not is_prime(53 ** 15)
+    # past the Miller-Rabin limit no answer is exact: refused, small factor or not
+    for n in (53 ** 15, 3317044064679887385961981, 3317044064679887385962123):
+        with pytest.raises(ValueError, match="only below 3317044064679887385961981"):
+            is_prime(n)
 
 
 def test_is_prime_against_sympy():
     # sympy is a test oracle only: odd n of every bit length up to the
-    # Miller-Rabin limit (just above 2^81; trial division past it would not
-    # finish), and the last prime below that limit
+    # Miller-Rabin limit (just above 2^81; is_prime refuses past it), and
+    # the last prime below that limit
     sympy = pytest.importorskip("sympy")
     rng = random.Random(5)
     ns = [rng.randrange(2 ** (b - 1), 2 ** b) | 1 for b in range(2, 82) for _ in range(20)]

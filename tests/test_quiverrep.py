@@ -2,6 +2,7 @@
 Hom/Aut counting, submodule tables."""
 
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -1418,33 +1419,63 @@ def test_is_isomorphic_large_q(q):
     assert not is_isomorphic(parallel, spread, budget=3 ** 16)
 
 
+@functools.cache
+def _signed_perms(n):
+    return [
+        (perm, -1 if sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n)) % 2 else 1)
+        for perm in itertools.permutations(range(n))
+    ]
+
+
 def _leibniz_det(m):
-    n = len(m)
     total = 0
-    for perm in itertools.permutations(range(n)):
-        term = -1 if sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n)) % 2 else 1
-        for i in range(n):
-            term *= m[i][perm[i]]
+    for perm, sign in _signed_perms(len(m)):
+        term = sign
+        for i, c in enumerate(perm):
+            term *= m[i][c]
         total += term
     return total
 
 
 @pytest.mark.parametrize("p", [3, 20011, 1000003])
 def test_batch_dets_match_leibniz(p):
-    # p=3 runs the closed formulas in int16; at 20011 the 4x4 Laplace sum
-    # and at 1000003 also the 3x3 cofactor sum would leave int64, so those
-    # blocks take the reduced permutation path
+    # p=3 reduces once, at the end, in int16 or int32; at 20011 every third
+    # level and at 1000003 every level from the third on would leave int64,
+    # so the level before it is reduced first
     rng = random.Random(p)
-    for n in range(1, 7):
+    e = 2 * (p - 1)
+    for n in range(1, 9):
         mats = [
-            [[rng.randint(0, 2 * (p - 1)) for _ in range(n)] for _ in range(n)]
-            for _ in range(20)
+            [[rng.randint(0, e) for _ in range(n)] for _ in range(n)]
+            for _ in range(20 if n <= 6 else 5)
         ]
-        worst = _det_worst(n, p)[1]
+        # e off the diagonal: determinant (-1)^(n-1) (n-1) e^n
+        mats.append([[0 if i == j else e for j in range(n)] for i in range(n)])
+        worst = _det_worst(n, p)
         dtype = next(dt for dt in (np.int16, np.int32, np.int64) if worst <= np.iinfo(dt).max)
         cols = np.array([[x for row in m for x in row] for m in mats], dtype=dtype).T
         got = _batch_dets_mod(cols, n, p).tolist()
         assert got == [_leibniz_det(m) % p for m in mats], n
+
+
+@pytest.mark.parametrize("la", [(4, 3), (3, 3, 1), (4, 4)])
+def test_aut_count_past_six_dimensional_blocks(la):
+    assert aut_count(jordan_rep(la, 2)) == int(aut_poly(la).evaluate(2))
+
+
+def test_is_isomorphic_on_seven_dimensional_blocks():
+    M = jordan_rep((4, 3), 2)
+    assert is_isomorphic(M, _random_conjugate(M, random.Random(7)))
+    # the same nilpotent rank, so the pair reaches the scan
+    assert not is_isomorphic(M, jordan_rep((5, 2), 2))
+
+
+def test_blocks_past_eight_are_refused():
+    with pytest.raises(BudgetError, match=r"^aut_count at dimension vector \(9,\), q=2: a 9x9 vertex block"):
+        aut_count(jordan_rep((9,), 2))
+    # the same nilpotent rank, so the pair would reach the scan
+    with pytest.raises(BudgetError, match=r"^is_isomorphic at dimension vector \(9,\), q=2: a 9x9 vertex block"):
+        is_isomorphic(jordan_rep((5, 4), 2), jordan_rep((6, 3), 2))
 
 
 def test_kernel_int64_bounds_raise():
