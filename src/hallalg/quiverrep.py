@@ -583,26 +583,25 @@ def _int_dtype(layer: str, worst: int, what: str, dims, q: int):
     )
 
 
-_INT64_MAX = 2 ** 63 - 1
 _MAX_BLOCK = 8  # past it the two widest levels of minors outgrow twice the block
 
 
 @functools.cache
 def _det_plan(n: int, p: int) -> List[Tuple[bool, int, List[List[List[Tuple[int, int]]]]]]:
-    """Levels 2..n of _batch_dets_mod's expansion, each (reduce, bound,
-    minors): whether level k-1 is first reduced mod p, to [0, p-1], the
-    largest magnitude level k then reaches, and for each k-set S of columns
-    in combinations order the minor on rows 0..k-1 and columns S along row
-    k-1, as its positive terms, then its negative ones: (index of entry
-    (k-1, c), index of the minor on S - {c} in level k-1). Entries reach
-    e = 2(p-1), level 2 e^2, and each later level k at most k*e times the
-    level before; a level is reduced only where the next would pass int64,
-    so a block whose n!/2 e^n fits is reduced once, at the end."""
+    """Levels 2..n of _batch_dets_mod's Laplace expansion along the rows,
+    each (reduce, bound, minors): whether level k-1 is first reduced mod p,
+    to [0, p-1], the largest magnitude level k then reaches, and for each
+    k-set S of columns in combinations order the minor on rows 0..k-1 and
+    columns S along row k-1, as its positive terms, then its negative ones:
+    (index of entry (k-1, c), index of the minor on S - {c} in level k-1).
+    Entries reach e = 2(p-1), level 2 e^2, and each later level k at most
+    k*e times the level before; a level is reduced only where the next would
+    pass int64, so a block whose n!/2 e^n fits is reduced once, at the end."""
     e = 2 * (p - 1)
     prev, bound, levels = {(c,): c for c in range(n)}, e, []
     for k in range(2, n + 1):
         step = e * (k if k > 2 else 1)
-        reduce = step * bound > _INT64_MAX
+        reduce = step * bound > np.iinfo(np.int64).max
         bound = step * (p - 1 if reduce else bound)
         sets = list(itertools.combinations(range(n), k))
         levels.append((reduce, bound, [
@@ -620,10 +619,9 @@ def _det_worst(n: int, p: int) -> int:
 
 
 def _batch_dets_mod(a: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Determinants mod p of a batch of n x n blocks (n <= _MAX_BLOCK), given
-    as an (n*n, N) array of row-major entries in [0, 2(p-1)], in a dtype
-    that holds _det_worst(n, p): Laplace expansion along rows 0, 1, ... in
-    turn, level k the minors on the first k rows."""
+    """Determinants mod p of a batch of n x n blocks, given as an (n*n, N)
+    array of row-major entries in [0, 2(p-1)], in a dtype that holds
+    _det_worst(n, p), by the levels of _det_plan(n, p)."""
     minors = a[:n]
     for reduce, _, level in _det_plan(n, p):
         if reduce:
@@ -687,8 +685,10 @@ def _count_vertexwise_invertible(
     before the budget check."""
     n = max(dims)
     if n > _MAX_BLOCK:
-        raise BudgetError(f"{layer} at dimension vector {tuple(dims)}, q={p}: a {n}x{n} vertex block "
-                          f"is past the {_MAX_BLOCK}x{_MAX_BLOCK} limit of the batched determinant")
+        raise BudgetError(
+            f"{layer} at dimension vector {tuple(dims)}, q={p}: a {n}x{n} vertex block "
+            f"is past the {_MAX_BLOCK}x{_MAX_BLOCK} limit of the batched determinant"
+        )
     nb = len(basis)
     _require_budget(layer, p ** nb, budget, dims, p)
     # digits (< p) times basis entries (< p), summed over at most nh terms

@@ -1439,9 +1439,9 @@ def _leibniz_det(m):
 
 @pytest.mark.parametrize("p", [3, 20011, 1000003])
 def test_batch_dets_match_leibniz(p):
-    # p=3 reduces once, at the end, in int16 or int32; at 20011 every third
-    # level and at 1000003 every level from the third on would leave int64,
-    # so the level before it is reduced first
+    # p=3 reduces once, at the end, in int16 or int32; at 20011 levels 4, 6
+    # and 8, and at 1000003 every level from the third on, would leave
+    # int64, so the level before each is reduced first
     rng = random.Random(p)
     e = 2 * (p - 1)
     for n in range(1, 9):
