@@ -584,6 +584,9 @@ def _int_dtype(layer: str, worst: int, what: str, dims, q: int):
 
 
 _MAX_BLOCK = 8  # past it the two widest levels of minors outgrow twice the block
+# the largest determinant of a k x k matrix of 0s and 1s, k = 0.._MAX_BLOCK
+# (OEIS A003432)
+_MAX_01_DET = (1, 1, 1, 2, 3, 5, 9, 32, 56)
 
 
 @functools.cache
@@ -594,15 +597,27 @@ def _det_plan(n: int, p: int) -> List[Tuple[bool, int, List[List[List[Tuple[int,
     k-set S of columns in combinations order the minor on rows 0..k-1 and
     columns S along row k-1, as its positive terms, then its negative ones:
     (index of entry (k-1, c), index of the minor on S - {c} in level k-1).
-    Entries reach e = 2(p-1), level 2 e^2, and each later level k at most
-    k*e times the level before; a level is reduced only where the next would
-    pass int64, so a block whose n!/2 e^n fits is reduced once, at the end."""
+
+    The bound: entries lie in [0, e], e = 2(p-1). While no level has been
+    reduced, the minors of level k-1 are exact determinants, so a sum of
+    any of the terms of a level-k minor (each product, and each partial
+    sum in the plan's order, included) is the determinant of the k x k
+    block on rows 0..k-1 and columns S with the other entries of row k-1
+    set to 0, a k x k matrix over [0, e]. The determinant is affine in
+    each entry, so on that box its magnitude peaks at a matrix of 0s and
+    es, e^k times a 0/1 determinant: level k reaches at most
+    _MAX_01_DET[k] e^k. Once level k-1 is reduced the minors are no longer
+    determinants, and level k's k terms, an entry times a minor, reach at
+    most k e (p-1), each later level j at most j e times the level
+    before. A level is reduced only where it would otherwise pass int64,
+    so a block whose _MAX_01_DET[n] e^n fits is reduced once, at the end."""
     e = 2 * (p - 1)
-    prev, bound, levels = {(c,): c for c in range(n)}, e, []
+    prev, bound, exact, levels = {(c,): c for c in range(n)}, e, True, []
     for k in range(2, n + 1):
-        step = e * (k if k > 2 else 1)
-        reduce = step * bound > np.iinfo(np.int64).max
-        bound = step * (p - 1 if reduce else bound)
+        bound = _MAX_01_DET[k] * e ** k if exact else k * e * bound
+        reduce = bound > np.iinfo(np.int64).max
+        if reduce:
+            exact, bound = False, k * e * (p - 1)
         sets = list(itertools.combinations(range(n), k))
         levels.append((reduce, bound, [
             [[((k - 1) * n + s[j], prev[s[:j] + s[j + 1 :]]) for j in range(k) if (k - 1 + j) % 2 == odd]
@@ -638,20 +653,56 @@ def _batch_dets_mod(a: np.ndarray, n: int, p: int) -> np.ndarray:
     return minors[0] % p
 
 
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m for an array x of nonnegative integers. numpy divides an
+    integer array by a scalar with SIMD but takes x % m one element at a
+    time, so x - m (x // m) is several times faster, and m (x // m) <= x
+    cannot overflow."""
+    return x - m * (x // m)
+
+
 _CHUNK = 1 << 17
 # matrix entries per sub-chunk of the orbit enumeration's nilpotency test
 # and generator images, so their temporaries stay a fixed size
 _SUBCHUNK = 1 << 16
 
 
+# most entries of _coeff_digit_block's digit table: a group of digits
+# indexes it as a uint8
+_DIGIT_TABLE = 256
+
+
 def _coeff_digit_block(codes: np.ndarray, nslots: int, p: int, dtype) -> np.ndarray:
     """The nslots base-p digits of each code, one row each, most significant
-    first, written straight into a `dtype` array (which must hold p-1)."""
-    out = np.empty((len(codes), nslots), dtype=dtype)
-    for pos in range(nslots - 1, -1, -1):
-        out[:, pos] = codes % p
-        codes = codes // p
-    return out
+    first, in a `dtype` array (which must hold p-1). Digits come off L at a
+    time, L the most with p^L <= _DIGIT_TABLE, as one gather of rows of a
+    table of the digits of 0..p^L - 1 (_digit_table), so a block takes
+    ceil(nslots / L) divmods instead of nslots. Past p = 16, L = 1: a
+    remainder is its own digit, and no table is read. With a table, the
+    rows are a view that skips the leading zeros of the most significant
+    group when L does not divide nslots."""
+    width = 1
+    while p ** (width + 1) <= _DIGIT_TABLE:
+        width += 1
+    groups = -(-nslots // width)
+    low = np.empty((len(codes), groups), dtype=dtype if width == 1 else np.uint8)
+    for g in range(groups - 1, -1, -1):
+        rest = codes // p ** width
+        low[:, g] = codes - rest * p ** width
+        codes = rest
+    if width == 1:
+        return low
+    digits = np.take(_digit_table(p, width, dtype), low, axis=0)
+    return digits.reshape(len(low), groups * width)[:, groups * width - nslots :]
+
+
+@functools.cache
+def _digit_table(p: int, width: int, dtype) -> np.ndarray:
+    """The `width` base-p digits of 0..p^width - 1, one read-only `dtype`
+    row each, most significant first."""
+    table = np.array(list(itertools.product(range(p), repeat=width)), dtype=dtype)
+    table.setflags(write=False)
+    return table
 
 
 def _low_width(k: int, p: int) -> int:
@@ -961,8 +1012,9 @@ def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> Opt
     most significant first, so it is the tuple's position among all
     q^nslots in lexicographic order. Codes are in the narrowest dtype that
     holds q^nslots - 1; the filter expands digits one chunk of codes at a
-    time, testing a single cycle by block-matrix powers and any other
-    quiver point by point (_is_nilpotent)."""
+    time, testing a single cycle by block-matrix powers, reduced mod q only
+    where the next squaring could pass the work dtype and at the end, and
+    any other quiver point by point (_is_nilpotent)."""
     layer = "enumerate_iso_classes"
     shapes = _arrow_shapes(Q, d)
     nslots = sum(r * c for r, c in shapes)
@@ -977,10 +1029,15 @@ def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> Opt
     rows = max(1, _SUBCHUNK // (D * D))
     if _kind(Q) is _CHAINS:
         # single path structure per (i,j,k): the block-matrix power test is
-        # exact for a single cycle, the jordan loop included; entries of the
-        # squared block matrices reach D (q-1)^2 before reduction
+        # exact for a single cycle, the jordan loop included. The work dtype
+        # holds D (q-1)^2, one squaring of a reduced matrix; a squaring
+        # takes an entry bound b to D b^2, so the powers are reduced mod q
+        # only before a squaring that could pass the dtype, and at the end
         work = _int_dtype(layer, D * (q - 1) ** 2, "nilpotency matrix powers", d, q)
-        steps = max(1, int(np.ceil(np.log2(max(D, 2)))))
+        schedule, bound = [], q - 1  # whether each squaring reduces first
+        for _ in range(max(1, int(np.ceil(np.log2(max(D, 2)))))):
+            schedule.append(D * bound * bound > np.iinfo(work).max)
+            bound = D * (q - 1 if schedule[-1] else bound) ** 2
         vert_off = [sum(d[:v]) for v in range(Q.n)]
 
         def nilpotent(codes: np.ndarray) -> np.ndarray:
@@ -991,9 +1048,11 @@ def _enumerate_points(Q: Quiver, q: int, d: Tuple[int, ...], budget: int) -> Opt
                 blk = digits[:, off : off + rr * cc].reshape(len(codes), rr, cc)
                 power[:, vert_off[t] : vert_off[t] + rr, vert_off[s] : vert_off[s] + cc] = blk
                 off += rr * cc
-            for _ in range(steps):
-                power = np.matmul(power, power) % q
-            return ~power.any(axis=(1, 2))
+            for reduce in schedule:
+                if reduce:
+                    power = _mod(power, q)
+                power = np.matmul(power, power)
+            return ~_mod(power, q).any(axis=(1, 2))
 
     else:
 
@@ -1034,22 +1093,61 @@ def _unvalidated_rep(Q: Quiver, q: int, d: Tuple[int, ...], mats: Tuple[Mat, ...
     return rep
 
 
-def _generator_matrix(Q: Quiver, d: Tuple[int, ...], vertex: int, g: Mat, g_inv: Mat, q: int) -> np.ndarray:
-    """The action of g at `vertex` on flattened points: x_h -> g x_h on
-    arrows into the vertex and x_h g^-1 on arrows out of it, i.e. the block
-    kron(left, right^T) on each touched arrow's row-major slots."""
-    shapes = _arrow_shapes(Q, d)
-    nslots = sum(r * c for r, c in shapes)
-    out = np.eye(nslots, dtype=np.int64)
-    off = 0
-    for (s, t), (r, c) in zip(Q.effective_arrows(), shapes):
-        size = r * c
-        if size and vertex in (s, t):
-            left = np.array(g if t == vertex else _identity(r), dtype=np.int64)
-            right = np.array(g_inv if s == vertex else _identity(c), dtype=np.int64)
-            out[off : off + size, off : off + size] = np.kron(left, right.T) % q
-        off += size
-    return out
+def _slot_maps(
+    Q: Quiver, d: Tuple[int, ...], q: int, dtype
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The action on flattened points of each generator g of _gl_generators
+    at each vertex in turn (x_h -> g x_h on arrows into the vertex, x_h g^-1
+    on arrows out of it, both on a loop), as the slots it moves and the
+    terms of their new digits: (moved, sources, coefficients in `dtype`),
+    the new digit at moved[i] being the sum over j of coefficients[i, j] *
+    digit[sources[i, j]] mod q (_slot_images). A row of g and a column of
+    g^-1 have at most two nonzero entries, so a slot has at most four terms
+    on a loop and two on any other arrow, each from its own source slot
+    and nonzero mod q; shorter rows are padded with zero terms. A slot
+    whose one term is itself with coefficient 1 does not move, and a
+    generator that moves no slot, whose permutation of the points would be
+    the identity, is left out: the dilation at a one-dimensional vertex
+    whose only arrows are loops, or any generator at a vertex none of whose
+    arrows has a nonzero end."""
+    def nonzero(rows):
+        return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+
+    maps = []
+    for v in range(Q.n):
+        for g, g_inv in _gl_generators(d[v], q):
+            g_rows, g_inv_cols = nonzero(g), nonzero(zip(*g_inv))
+            moved, terms = [], []
+            off = 0
+            for (s, t), (r, c) in zip(Q.effective_arrows(), _arrow_shapes(Q, d)):
+                if v in (s, t):
+                    left = g_rows if t == v else [[(i, 1)] for i in range(r)]
+                    right = g_inv_cols if s == v else [[(j, 1)] for j in range(c)]
+                    for i, j in itertools.product(range(r), range(c)):
+                        new = [(off + k * c + l, a * b % q) for k, a in left[i] for l, b in right[j]]
+                        if new != [(off + i * c + j, 1)]:
+                            moved.append(off + i * c + j)
+                            terms.append(new)
+                off += r * c
+            if moved:
+                width = max(map(len, terms))
+                pairs = np.array([row + [(0, 0)] * (width - len(row)) for row in terms], dtype=np.int64)
+                maps.append((np.array(moved), pairs[:, :, 0], pairs[:, :, 1].astype(dtype)))
+    return maps
+
+
+def _slot_images(block: np.ndarray, digits: np.ndarray, slot_map, weights: np.ndarray, q: int) -> np.ndarray:
+    """The base-q codes of the images of the points coded `block`, whose
+    digits (_coeff_digit_block) are the columns of the slot-major
+    `digits`, under one generator's slot map (_slot_maps): each term
+    gathers whole rows of digits. A code changes only at the slots the map
+    moves, by (new - old digit) times their weights (`weights`, the base-q
+    place value of each slot), in all at most q^nslots - 1 either way."""
+    moved, sources, coeffs = slot_map
+    new = digits[sources[:, 0]] * coeffs[:, :1]
+    for j in range(1, sources.shape[1]):
+        new += digits[sources[:, j]] * coeffs[:, j : j + 1]
+    return block + weights[moved] @ (_mod(new, q) - digits[moved])
 
 
 def _point_rows(codes: Optional[np.ndarray], n_points: int, image):
@@ -1070,40 +1168,34 @@ def _orbit_seeds(
     seed point indices, orbit sizes, orbit index of each point), seeds
     increasing. A seed is the lex-least point of its orbit, found by
     min-label propagation with pointer jumping over one permutation of the
-    points per generator of _gl_generators, so at most three per vertex.
-    The labels flow one way, from a point's image to the point; as each
-    generator has finite order, its cycles carry them round, and at the
-    fixed point a label is constant on every orbit. Generator
-    permutations, labels and orbit indices are in the narrowest dtype that
-    holds the point count. The points' digits are expanded _SUBCHUNK
-    entries at a time, each block imaged under every generator."""
+    points per generator of _gl_generators that moves a slot (_slot_maps),
+    so at most three per vertex. The labels flow one way, from a point's
+    image to the point; as each generator has finite order, its cycles
+    carry them round, and at the fixed point a label is constant on every
+    orbit. Generator permutations, labels and orbit indices are in the
+    narrowest dtype that holds the point count. The points' digits are
+    expanded _SUBCHUNK entries at a time, slot-major, and each block is
+    imaged under every slot map by row gathers and one reduction mod q
+    (_slot_images), with no nslots x nslots matrix."""
     layer = "enumerate_iso_classes"
     codes = _enumerate_points(Q, q, d, budget)
     nslots = sum(r * c for r, c in _arrow_shapes(Q, d))
     n_points = q ** nslots if codes is None else len(codes)
-    # digits (< q) times generator entries (< q), summed over nslots terms
-    image_dtype = _int_dtype(layer, nslots * (q - 1) ** 2, "generator images", d, q)
+    # digits (< q) times generator entries (< q), summed over at most four terms
+    image_dtype = _int_dtype(layer, 4 * (q - 1) ** 2, "generator images", d, q)
     index_dtype = _int_dtype(layer, n_points - 1, "point indices", d, q)
     # image codes take the dtype of the codes they are searched among
     weights = np.array(
         [q ** k for k in range(nslots - 1, -1, -1)], dtype=np.int64 if codes is None else codes.dtype
     )
-    eye = np.eye(nslots, dtype=image_dtype)
-    gens = []  # (the slots a generator moves, their columns of its action, their weights)
-    for v in range(Q.n):
-        for g, g_inv in _gl_generators(d[v], q):
-            act_t = _generator_matrix(Q, d, v, g, g_inv, q).T.astype(image_dtype)
-            moved = np.flatnonzero((act_t != eye).any(axis=0))
-            gens.append((moved, act_t[:, moved], weights[moved]))
-    perms = [np.empty(n_points, dtype=index_dtype) for _ in gens]  # perm[i] = index of point i's image
+    slot_maps = _slot_maps(Q, d, q, image_dtype)
+    perms = [np.empty(n_points, dtype=index_dtype) for _ in slot_maps]  # perm[i] = index of point i's image
     rows = max(1, _SUBCHUNK // max(1, nslots))
     for a in range(0, n_points, rows):
         block = np.arange(a, min(a + rows, n_points)) if codes is None else codes[a : a + rows]
-        digits = _coeff_digit_block(block, nslots, q, image_dtype)
-        for (moved, act, moved_weights), perm in zip(gens, perms):
-            # a code changes only at the slots g moves: by (new - old digit)
-            # times their weights, in all at most q^nslots - 1 either way
-            image = block + ((digits @ act) % q - digits[:, moved]) @ moved_weights
+        digits = _coeff_digit_block(block, nslots, q, image_dtype).T.copy()
+        for slot_map, perm in zip(slot_maps, perms):
+            image = _slot_images(block, digits, slot_map, weights, q)
             pos = _point_rows(codes, n_points, image)
             if pos is None:
                 raise ConsistencyError(

@@ -1437,10 +1437,24 @@ def _leibniz_det(m):
     return total
 
 
+# a 0/1 matrix of the largest determinant, _MAX_01_DET[n], for n = 1..8
+# (rows as bit strings)
+_MAX_01_DET_BLOCKS = {
+    1: ["1"],
+    2: ["10", "11"],
+    3: ["110", "011", "101"],
+    4: ["0011", "0110", "1101", "1010"],
+    5: ["11010", "01110", "00011", "11101", "10110"],
+    6: ["011010", "110100", "111001", "101100", "000111", "100010"],
+    7: ["1011100", "1110010", "1101001", "1000111", "0011011", "0110101", "0101110"],
+    8: ["10101011", "01101110", "11001101", "10010110", "01100111", "11110000", "00111101", "01011011"],
+}
+
+
 @pytest.mark.parametrize("p", [3, 20011, 1000003])
 def test_batch_dets_match_leibniz(p):
-    # p=3 reduces once, at the end, in int16 or int32; at 20011 levels 4, 6
-    # and 8, and at 1000003 every level from the third on, would leave
+    # p=3 reduces once, at the end, in int16 or int32; at 20011 levels 5
+    # and 7, and at 1000003 every level from the third on, would leave
     # int64, so the level before each is reduced first
     rng = random.Random(p)
     e = 2 * (p - 1)
@@ -1451,11 +1465,27 @@ def test_batch_dets_match_leibniz(p):
         ]
         # e off the diagonal: determinant (-1)^(n-1) (n-1) e^n
         mats.append([[0 if i == j else e for j in range(n)] for i in range(n)])
+        # a 0/e block that reaches the bound of the unreduced levels
+        peak = [[e * int(x) for x in row] for row in _MAX_01_DET_BLOCKS[n]]
+        assert _leibniz_det(peak) == quiverrep._MAX_01_DET[n] * e ** n
+        mats.append(peak)
         worst = _det_worst(n, p)
+        if not any(reduce for reduce, _, _ in quiverrep._det_plan(n, p)):
+            # unreduced, the bound is what the block reaches: it is tight
+            assert worst == quiverrep._MAX_01_DET[n] * e ** n
         dtype = next(dt for dt in (np.int16, np.int32, np.int64) if worst <= np.iinfo(dt).max)
         cols = np.array([[x for row in m for x in row] for m in mats], dtype=dtype).T
         got = _batch_dets_mod(cols, n, p).tolist()
         assert got == [_leibniz_det(m) % p for m in mats], n
+
+
+def test_max_01_determinants():
+    # exhaustively for n <= 4 (OEIS A003432 beyond), and the 4x4 bound at
+    # p=5, 3 * 8^4 = 12288, keeps the scan in int16
+    for n in range(1, 5):
+        mats = np.array(list(itertools.product((0, 1), repeat=n * n)), dtype=np.float64).reshape(-1, n, n)
+        assert round(np.abs(np.linalg.det(mats)).max()) == quiverrep._MAX_01_DET[n]
+    assert _det_worst(4, 5) == 12288
 
 
 @pytest.mark.parametrize("la", [(4, 3), (3, 3, 1), (4, 4)])
@@ -1592,6 +1622,176 @@ def test_orbit_labelling_keeps_one_permutation_per_generator():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20
+
+
+def _generator_matrix(Q, d, vertex, g, g_inv, q):
+    """Dense reference for a generator's action on flattened points: x_h
+    -> g x_h on arrows into the vertex and x_h g^-1 on arrows out of it,
+    i.e. the block kron(left, right^T) on each touched arrow's row-major
+    slots of an nslots x nslots matrix."""
+    shapes = quiverrep._arrow_shapes(Q, d)
+    nslots = sum(r * c for r, c in shapes)
+    out = np.eye(nslots, dtype=np.int64)
+    off = 0
+    for (s, t), (r, c) in zip(Q.effective_arrows(), shapes):
+        size = r * c
+        if size and vertex in (s, t):
+            left = np.array(g if t == vertex else np.eye(r), dtype=np.int64)
+            right = np.array(g_inv if s == vertex else np.eye(c), dtype=np.int64)
+            out[off : off + size, off : off + size] = np.kron(left, right.T) % q
+        off += size
+    return out
+
+
+# a loop and an arrow out of its vertex
+_LOOP_ARROW = Quiver(("0", "1"), (("0", "0"), ("0", "1")))
+
+
+def test_slot_maps_match_dense_generators():
+    # each generator's slot map images every tuple (every code, not only
+    # the nilpotent ones) as its dense matrix does; the generators whose
+    # dense matrix is the identity are the ones left out
+    dropped = 0
+    for Q in (Quiver.a2(), Quiver.kronecker(), Quiver.jordan_quiver(), Quiver.cyclic(3), _LOOP_ARROW):
+        for q in (2, 3, 5):
+            for d in itertools.product(range(4), repeat=Q.n):
+                nslots = sum(r * c for r, c in quiverrep._arrow_shapes(Q, d))
+                if q ** nslots > 4096:
+                    continue
+                dense = [
+                    _generator_matrix(Q, d, v, g, g_inv, q)
+                    for v in range(Q.n)
+                    for g, g_inv in _gl_generators(d[v], q)
+                ]
+                moving = [act for act in dense if not (act == np.eye(nslots, dtype=np.int64)).all()]
+                dropped += len(dense) - len(moving)
+                slot_maps = quiverrep._slot_maps(Q, d, q, np.int16)
+                assert len(slot_maps) == len(moving), (Q, q, d)
+                codes = np.arange(q ** nslots)
+                digits = quiverrep._coeff_digit_block(codes, nslots, q, np.int64)
+                weights = np.array([q ** k for k in range(nslots - 1, -1, -1)], dtype=np.int64)
+                slot_major = np.ascontiguousarray(digits.T.astype(np.int16))
+                for act, slot_map in zip(moving, slot_maps):
+                    moved, sources, coeffs = slot_map
+                    assert 1 <= sources.shape[1] <= (4 if any(s == t for s, t in Q.effective_arrows()) else 2)
+                    assert moved.tolist() == np.flatnonzero((act != np.eye(nslots)).any(axis=1)).tolist()
+                    want = ((digits @ act.T) % q) @ weights
+                    got = quiverrep._slot_images(codes, slot_major, slot_map, weights, q)
+                    assert got.tolist() == want.tolist(), (Q, q, d)
+    # among them the dilation at a one-dimensional vertex whose only arrow
+    # is a loop (Jordan (1,), q=3), and every generator at a vertex none of
+    # whose arrows has a nonzero end (A2 at (2, 0))
+    assert quiverrep._slot_maps(Quiver.jordan_quiver(), (1,), 3, np.int16) == []
+    assert quiverrep._slot_maps(Quiver.a2(), (2, 0), 3, np.int16) == []
+    assert dropped > 0
+
+
+def test_orbit_labelling_images_only_moving_generators(monkeypatch):
+    # no identity permutation is built: every generator imaged moves a
+    # slot, and where none does each point is its own orbit
+    images = quiverrep._slot_images
+    seen = []
+
+    def recorded(block, digits, slot_map, weights, q):
+        seen.append(len(slot_map[0]))
+        return images(block, digits, slot_map, weights, q)
+
+    monkeypatch.setattr(quiverrep, "_slot_images", recorded)
+    codes, seeds, sizes, owner = quiverrep._orbit_seeds(_LOOP, 3, (1,), 2 ** 24)
+    assert seen == [] and seeds.tolist() == [0, 1, 2] and sizes.tolist() == [1, 1, 1]
+    # at (1, 1), q=3, the loop's vertex has one generator, the dilation,
+    # which moves only the arrow's slot; the far vertex's dilation too
+    quiverrep._orbit_seeds(_LOOP_ARROW, 3, (1, 1), 2 ** 24)
+    assert seen == [1, 1]
+    seen.clear()
+    quiverrep._orbit_seeds(Quiver.kronecker(), 3, (2, 2), 2 ** 24)
+    assert len(seen) == 6 and min(seen) > 0
+
+
+def _digits_ref(codes, nslots, p):
+    """Reference digit expansion: one Python divmod per digit and code."""
+    out = []
+    for code in codes:
+        row = []
+        for _ in range(nslots):
+            code, digit = divmod(code, p)
+            row.append(digit)
+        out.append(row[::-1])
+    return out
+
+
+@pytest.mark.parametrize("p, width", [(2, 8), (3, 5), (5, 3), (127, 1), (257, 1)])
+def test_coeff_digit_block_matches_per_digit(p, width):
+    # nslots 0, below the table width, equal to it and not a multiple of
+    # it; codes in int16, int32 and int64, contiguous or filtered
+    # (strided); digits written as int16 and int64
+    rng = random.Random(p)
+    for nslots in sorted({0, 1, max(1, width - 1), width, width + 1, 2 * width + 1}):
+        space = p ** nslots
+        picks = sorted({0, space - 1} | {rng.randrange(space) for _ in range(300)})
+        for code_dtype in (np.int16, np.int32, np.int64):
+            if space - 1 > np.iinfo(code_dtype).max:
+                continue
+            codes = np.array(picks, dtype=code_dtype)
+            want = _digits_ref(picks, nslots, p)
+            for dtype in (np.int16, np.int64):
+                got = quiverrep._coeff_digit_block(codes, nslots, p, dtype)
+                assert got.shape == (len(picks), nslots) and got.dtype == dtype
+                assert got.tolist() == want, (nslots, code_dtype, dtype)
+                for view in (codes[::3], codes[codes % 2 == 1]):
+                    want_view = _digits_ref(view.tolist(), nslots, p)
+                    assert quiverrep._coeff_digit_block(view, nslots, p, dtype).tolist() == want_view
+
+
+def test_orbit_seeds_refuse_a_point_set_not_closed_under_the_group(monkeypatch):
+    # drop one non-seed point of Jordan (3,) at q=2: some generator maps a
+    # point of its orbit onto it, outside the enumerated points
+    J = Quiver.jordan_quiver()
+    monkeypatch.setattr(quiverrep, "_CACHE", {})
+    codes, seeds, _, _ = quiverrep._orbit_seeds(J, 2, (3,), 2 ** 24)
+    gone = next(i for i in range(len(codes) - 1, -1, -1) if i not in set(seeds.tolist()))
+    kept = np.delete(codes, gone)
+    monkeypatch.setattr(quiverrep, "_enumerate_points", lambda *args: kept)
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^enumerate_iso_classes at dimension vector \(3,\), q=2: a generator maps an "
+        r"enumerated point outside the point set$",
+    ):
+        enumerate_iso_classes(J, 2, 3, force_generic=True)
+
+
+def test_block_power_filter_reduces_only_where_a_squaring_could_overflow(monkeypatch):
+    # the powers are reduced mod q (_mod) before a squaring only where it
+    # could pass the work dtype, and once at the end. cyclic(2) at (2, 1)
+    # and cyclic(3) at (1, 1, 1), q=7: D = 3, int16 work (it holds
+    # 3 * 6^2), entries 6 -> 108 after one squaring, and 3 * 108^2 = 34992
+    # would pass 32767, so the second squaring reduces first: two
+    # reductions in the one chunk. loop(4) at q=2 (16 chunks) reduces once
+    # a chunk, at the end
+    mod = quiverrep._mod
+    calls = []
+
+    def counted(x, m):
+        calls.append(m)
+        return mod(x, m)
+
+    monkeypatch.setattr(quiverrep, "_mod", counted)
+    for Q, q, d, reductions in (
+        (Quiver.cyclic(2), 7, (2, 1), 2),
+        (Quiver.cyclic(3), 7, (1, 1, 1), 2),
+        (Quiver.jordan_quiver(), 2, (4,), 16),
+    ):
+        calls.clear()
+        got = _enumerate_points(Q, q, d, 2 ** 24).tolist()
+        assert calls == [q] * reductions, (Q, d)
+        if q == 7:
+            want = []
+            for M in _all_reps(Q, q, d):
+                code = 0
+                for x in itertools.chain.from_iterable(itertools.chain.from_iterable(M.mats)):
+                    code = code * q + x
+                want.append(code)
+            assert got == want
 
 
 def _brute_invertible(basis, dims, q):
